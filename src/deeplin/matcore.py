@@ -14,8 +14,6 @@ Conventions that the rest of the package relies on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NumericError
@@ -136,31 +134,3 @@ def op_norm(a) -> float:
 def sigma_min(a) -> float:
     """Smallest singular value."""
     return float(singular_values(a)[-1])
-
-
-@dataclass(frozen=True)
-class SpectralData:
-    """Singular values (descending), eigenvalues for square input, and the
-    orthonormal singular bases."""
-
-    singular_values: np.ndarray
-    eigenvalues: np.ndarray | None
-    left_basis: np.ndarray
-    right_basis: np.ndarray
-
-
-def spectral(a) -> SpectralData:
-    """Full spectral summary of a matrix.
-
-    Eigenvalues (complex) are included only for square input.  Decomposition
-    failures surface as NumericError carrying a condition estimate.
-    """
-    a = as_mat(a, max_dim=MAX_HESSIAN_SIDE)
-    try:
-        u, s, vt = np.linalg.svd(a)
-        eig = np.linalg.eigvals(a) if a.shape[0] == a.shape[1] else None
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(
-            f"spectral decomposition failed: {exc}; cond~{cond_estimate(a):.3e}"
-        ) from exc
-    return SpectralData(s, eig, u, vt.T)

@@ -84,17 +84,19 @@ class GradientSet:
 
 
 def prefix_suffix_products(layers):
-    """Lists P, S with P[k] = product of the first k layers (reversed order)
-    and S[k] = product of layers k+1..L.  P[0] = S[L] = identity."""
+    """Stacks P, S of shape (L + 1, d, d) with P[k] = product of the first k
+    layers (reversed order) and S[k] = product of layers k+1..L.
+    P[0] = S[L] = identity.  ``layers`` is a sequence of L matrices or an
+    (L, d, d) stack."""
     L = len(layers)
     d = layers[0].shape[0]
-    eye = np.eye(d)
-    pre = [eye]
+    pre = np.empty((L + 1, d, d))
+    suf = np.empty((L + 1, d, d))
+    pre[0] = suf[L] = np.eye(d)
     for k in range(L):
-        pre.append(layers[k] @ pre[k])
-    suf = [eye] * (L + 1)
+        np.matmul(layers[k], pre[k], out=pre[k + 1])
     for k in range(L - 1, -1, -1):
-        suf[k] = suf[k + 1] @ layers[k]
+        np.matmul(suf[k + 1], layers[k], out=suf[k])
     return pre, suf
 
 

@@ -21,25 +21,6 @@ from .matcore import as_mat, frob_norm, op_norm, require_square, skew, sym
 
 
 @dataclass(frozen=True)
-class GammaPositiveSet:
-    """Matrices A with u.T A u >= gamma for every unit u (closed set)."""
-
-    gamma: float
-
-    def __post_init__(self):
-        if not self.gamma > 0.0:
-            raise ValueError("gamma must be positive")
-
-    def contains(self, a, tol: float = 0.0) -> bool:
-        a = as_mat(a)
-        require_square(a)
-        return bool(np.linalg.eigvalsh(sym(a))[0] >= self.gamma - tol)
-
-    def project(self, a) -> np.ndarray:
-        return project_gamma_positive(a, self.gamma)
-
-
-@dataclass(frozen=True)
 class IdentityBall:
     """Operator-norm ball of the given radius around the identity; the
     psd_constrained variant additionally intersects with the symmetric

@@ -1,21 +1,25 @@
-"""Training loops for the deep linear model, all starting from (scaled)
-identity layers and all updating every layer simultaneously from the same
-pre-step iterate.
+"""Trainers for the deep linear model, all driven by one training loop.
 
-Four variants:
+``_train`` holds the layers as one ``(L, d, d)`` array, starts from scaled
+identity layers and updates every layer simultaneously from the same
+pre-step iterate.  It owns the loss, the divergence, convergence and budget
+stops, the trace records, the step-size schedule and the gradient step.  A
+step that leaves the layers, or the product the loss is taken from,
+non-finite ends the run as ``diverged`` with the last finite iterate kept.
+The trainers differ only in the update rule and an optional settle step:
 
-* ``run_gd``: plain gradient descent.
-* ``run_power_projection``: gradient step, Frobenius projection of the
-  end-to-end product onto the gamma-positive set, then balanced
-  refactorization into layers.
-* ``run_step_and_project``: gradient step followed by projecting each layer
-  onto an operator-norm ball around the identity.
-* ``run_penalty_gd``: gradient descent with a pull toward identity layers,
-  either the shrink-toward-identity update (canonical) or plain descent on
-  the penalized objective.
+* ``run_gd``: the plain gradient step.
+* ``run_penalty_gd``: a pull toward identity layers, either the
+  shrink-toward-identity update (canonical) or plain descent on the
+  penalized objective.
+* ``run_step_and_project``: each stepped layer is projected onto an
+  operator-norm ball around the identity.
+* ``run_power_projection``: the stepped product is projected onto the
+  gamma-positive set and refactored into balanced layers; the next loss is
+  taken from the projected product.
 
 Traces record one row per iterate, including t = 0, and are deterministic:
-the loops draw no randomness.
+the loop draws no randomness.
 """
 
 from __future__ import annotations
@@ -208,7 +212,10 @@ def admissible_step(d: int, L: int, phi_op_sq: float, radius: float, loss_val: f
     return 1.0 / (base * max((1.0 + candidate) ** (2 * L), phi_op_sq))
 
 
-def _check_target(phi, cfg: TrainerConfig) -> np.ndarray:
+def _prepare(phi, cfg: TrainerConfig, algorithm: str) -> np.ndarray:
+    cfg.validate()
+    if cfg.algorithm != algorithm:
+        raise ConfigError(f"run_{algorithm} requires algorithm tag {algorithm!r}")
     phi = as_mat(phi, name="target")
     if phi.shape != (cfg.d, cfg.d):
         raise ConfigError(
@@ -217,22 +224,8 @@ def _check_target(phi, cfg: TrainerConfig) -> np.ndarray:
     return phi
 
 
-def _layer_stats(stack: np.ndarray, eye: np.ndarray):
-    sv = np.linalg.svd(stack, compute_uv=False)
-    dev = np.linalg.svd(stack - eye, compute_uv=False)
-    return float(sv.min()), float(sv.max()), float(dev.max())
-
-
-def _spectrum(prod: np.ndarray) -> np.ndarray:
-    return np.sort_complex(np.linalg.eigvals(prod))
-
-
-def _snapshot(layers) -> tuple:
-    return tuple(m.copy() for m in layers)
-
-
 class _Recorder:
-    """Shared per-iterate bookkeeping for all training loops."""
+    """Per-iterate trace rows and the running radius and norm statistics."""
 
     def __init__(self, phi: np.ndarray, cfg: TrainerConfig):
         self.cfg = cfg
@@ -242,27 +235,88 @@ class _Recorder:
         self.records: list = []
 
     def add(self, t, layers, prod, loss_val, loss_half):
-        stack = np.stack(layers)
-        min_sv, max_norm, dev = _layer_stats(stack, self.eye)
-        self.radius = max(self.radius, dev)
+        sv = np.linalg.svd(layers, compute_uv=False)
+        dev = np.linalg.svd(layers - self.eye, compute_uv=False)
+        min_sv, max_norm = float(sv.min()), float(sv.max())
+        self.radius = max(self.radius, float(dev.max()))
         self.u_stat = max(self.u_stat, max_norm)
-        self.records.append(
-            TraceRecord(
-                t=t,
-                loss=loss_val,
-                loss_half=loss_half,
-                radius=self.radius,
-                min_sv=min_sv,
-                max_norm=max_norm,
-                u_stat=self.u_stat,
-                eigenvalues=_spectrum(prod) if self.cfg.record_spectra else None,
-                layers=_snapshot(layers) if self.cfg.record_layers else None,
-            )
+        spectrum = None
+        if self.cfg.record_spectra:
+            spectrum = np.sort_complex(np.linalg.eigvals(prod))
+        self.records.append(TraceRecord(
+            t, loss_val, loss_half, self.radius, min_sv, max_norm, self.u_stat,
+            spectrum, tuple(layers) if self.cfg.record_layers else None,
+        ))
+
+
+def _step_size(phi: np.ndarray, cfg: TrainerConfig):
+    """The schedule as a function of (t, running radius, loss)."""
+    schedule = cfg.schedule
+    if schedule.mode == "admissible" or (
+        schedule.mode == "default" and cfg.algorithm == "gd"
+    ):
+        phi_op_sq = op_norm(phi) ** 2
+        return lambda t, radius, loss_val: admissible_step(
+            cfg.d, cfg.L, phi_op_sq, radius, loss_val
         )
+    if schedule.mode == "default":
+        schedule = StepSchedule("constant", step_size_power_projection(phi, cfg.L))
+    return lambda t, radius, loss_val: schedule.step(t)
 
 
-def _finite(layers) -> bool:
-    return all(np.all(np.isfinite(m)) for m in layers)
+def _plain_step(layers, grads, eta):
+    return layers - eta * grads
+
+
+def _train(
+    phi, cfg: TrainerConfig, scale=1.0, update=_plain_step, settle=None, prod=None
+):
+    """The training loop shared by every trainer, from layers scale * I.
+
+    ``update(layers, grads, eta)`` returns the stepped (L, d, d) layers.
+    ``settle(stepped)``, when given, returns ``(layers, prod, loss_half)``:
+    the next iterate, the product its loss is taken from (None for the
+    layers' own product), and the half-step loss to record with it.
+    ``prod`` plays the same role for the start.  Layers are never modified
+    in place, so records may share them.
+    """
+    step_size = _step_size(phi, cfg)
+    rec = _Recorder(phi, cfg)
+    layers = np.tile(scale * np.eye(cfg.d), (cfg.L, 1, 1))
+    etas: list = []
+    loss_half = None
+    last = None
+    status = "budget"
+    for t in range(cfg.max_iters + 1):
+        pre, suf = prefix_suffix_products(layers)
+        residual = pre[-1] - phi
+        if prod is None:
+            prod, loss_residual = pre[-1], residual
+        else:
+            loss_residual = prod - phi
+        loss_val = 0.5 * float(np.sum(loss_residual * loss_residual))
+        if not np.isfinite(loss_val) or loss_val > DIVERGE_LOSS:
+            status = "diverged"
+            break
+        rec.add(t, layers, prod, loss_val, loss_half)
+        last = layers
+        if loss_val <= cfg.epsilon:
+            status = "converged"
+            break
+        if t == cfg.max_iters:
+            break
+        eta = step_size(t, rec.radius, loss_val)
+        etas.append(eta)
+        grads = suf[1:].transpose(0, 2, 1) @ residual @ pre[:-1].transpose(0, 2, 1)
+        layers = update(layers, grads, eta)
+        if not np.all(np.isfinite(layers)):
+            status = "diverged"
+            break
+        layers, prod, loss_half = settle(layers) if settle else (layers, None, None)
+    return TrainingTrace(
+        cfg.algorithm, cfg.d, cfg.L, rec.records, etas, status,
+        () if last is None else tuple(last), cfg.gamma,
+    )
 
 
 def run_gd(phi, cfg: TrainerConfig) -> TrainingTrace:
@@ -272,52 +326,8 @@ def run_gd(phi, cfg: TrainerConfig) -> TrainingTrace:
     or an iterate goes non-finite (status ``diverged``, last finite iterate
     kept).  cfg.gamma is ignored here.
     """
-    cfg.validate()
-    if cfg.algorithm != "gd":
-        raise ConfigError("run_gd requires algorithm tag 'gd'")
-    phi = _check_target(phi, cfg)
-    schedule = cfg.schedule
-    adaptive = schedule.mode in ("admissible", "default")
-    phi_op_sq = op_norm(phi) ** 2
-
-    layers = [np.eye(cfg.d) for _ in range(cfg.L)]
-    rec = _Recorder(phi, cfg)
-    etas: list = []
-    status = "budget"
-    t = 0
-    while True:
-        if not _finite(layers):
-            status = "diverged"
-            break
-        pre, suf = prefix_suffix_products(layers)
-        prod = pre[cfg.L]
-        residual = prod - phi
-        loss_val = 0.5 * float(np.sum(residual * residual))
-        if not np.isfinite(loss_val) or loss_val > DIVERGE_LOSS:
-            status = "diverged"
-            break
-        rec.add(t, layers, prod, loss_val, None)
-        good_layers = layers
-        if loss_val <= cfg.epsilon:
-            status = "converged"
-            break
-        if t >= cfg.max_iters:
-            status = "budget"
-            break
-        if adaptive:
-            eta = admissible_step(cfg.d, cfg.L, phi_op_sq, rec.radius, loss_val)
-        else:
-            eta = schedule.step(t)
-        etas.append(eta)
-        layers = [
-            layers[k] - eta * (suf[k + 1].T @ residual @ pre[k].T)
-            for k in range(cfg.L)
-        ]
-        t += 1
-    final = _snapshot(good_layers) if rec.records else ()
-    return TrainingTrace(
-        "gd", cfg.d, cfg.L, rec.records, etas, status, final, cfg.gamma
-    )
+    phi = _prepare(phi, cfg, "gd")
+    return _train(phi, cfg)
 
 
 def run_power_projection(phi, cfg: TrainerConfig) -> TrainingTrace:
@@ -325,15 +335,13 @@ def run_power_projection(phi, cfg: TrainerConfig) -> TrainingTrace:
     set, refactor into balanced layers.
 
     Starts at gamma**(1/L) times identity.  Integer-step losses are taken
-    from the projected product, half-step losses from the pre-projection
-    product.  Warns when the target itself is not gamma-positive, since the
-    contraction guarantee then has no backing.  Factorization failures
-    propagate as NumericError with diagnostics.
+    from the projected product (gamma I at the start), half-step losses
+    from the pre-projection product; a half-step product that overflows
+    ends the run as ``diverged``.  Warns when the target itself is not
+    gamma-positive, since the contraction guarantee then has no backing.
+    Factorization failures propagate as NumericError with diagnostics.
     """
-    cfg.validate()
-    if cfg.algorithm != "power_projection":
-        raise ConfigError("run_power_projection requires algorithm tag 'power_projection'")
-    phi = _check_target(phi, cfg)
+    phi = _prepare(phi, cfg, "power_projection")
     margin = float(np.linalg.eigvalsh(sym(phi))[0])
     if margin < cfg.gamma - 1e-12:
         warnings.warn(
@@ -341,108 +349,34 @@ def run_power_projection(phi, cfg: TrainerConfig) -> TrainingTrace:
             "contraction guarantee does not apply",
             stacklevel=2,
         )
-    if cfg.schedule.mode == "default":
-        schedule = StepSchedule("constant", step_size_power_projection(phi, cfg.L))
-    else:
-        schedule = cfg.schedule
+
+    def settle(half):
+        pre_h, _ = prefix_suffix_products(half)
+        prod_half = pre_h[-1]
+        loss_half = 0.5 * float(np.sum((prod_half - phi) ** 2))
+        if not np.all(np.isfinite(prod_half)):
+            # the loop's loss test ends the run on this product
+            return half, prod_half, loss_half
+        projected = project_gamma_positive(prod_half, cfg.gamma)
+        factors = balanced_factorization(projected, cfg.L).factors
+        # factors are in product order; layers apply in reversed order
+        return np.stack(factors[::-1]), projected, loss_half
 
     root = cfg.gamma ** (1.0 / cfg.L)
-    layers = [root * np.eye(cfg.d) for _ in range(cfg.L)]
-    current_prod = cfg.gamma * np.eye(cfg.d)
-    pending_half = None
-    rec = _Recorder(phi, cfg)
-    etas: list = []
-    status = "budget"
-    t = 0
-    while True:
-        residual_rec = current_prod - phi
-        loss_val = 0.5 * float(np.sum(residual_rec * residual_rec))
-        if not np.isfinite(loss_val) or loss_val > DIVERGE_LOSS:
-            status = "diverged"
-            break
-        rec.add(t, layers, current_prod, loss_val, pending_half)
-        good_layers = layers
-        if loss_val <= cfg.epsilon:
-            status = "converged"
-            break
-        if t >= cfg.max_iters:
-            status = "budget"
-            break
-        eta = schedule.step(t)
-        etas.append(eta)
-        pre, suf = prefix_suffix_products(layers)
-        residual = pre[cfg.L] - phi
-        half = [
-            layers[k] - eta * (suf[k + 1].T @ residual @ pre[k].T)
-            for k in range(cfg.L)
-        ]
-        if not _finite(half):
-            status = "diverged"
-            break
-        pre_h, _ = prefix_suffix_products(half)
-        prod_half = pre_h[cfg.L]
-        pending_half = 0.5 * float(np.sum((prod_half - phi) ** 2))
-        projected = project_gamma_positive(prod_half, cfg.gamma)
-        result = balanced_factorization(projected, cfg.L)
-        # factors are in product order; layers apply in reversed order
-        layers = list(reversed(result.factors))
-        current_prod = projected
-        t += 1
-    final = _snapshot(good_layers) if rec.records else ()
-    return TrainingTrace(
-        "power_projection", cfg.d, cfg.L, rec.records, etas, status, final, cfg.gamma
-    )
+    return _train(phi, cfg, root, settle=settle, prod=cfg.gamma * np.eye(cfg.d))
 
 
 def run_step_and_project(phi, cfg: TrainerConfig) -> TrainingTrace:
     """Gradient step, then project every layer onto the operator-norm ball
     of radius cfg.psi around the identity.  Starts at gamma**(1/L) times
     identity; gamma = 1 gives the identity start."""
-    cfg.validate()
-    if cfg.algorithm != "step_and_project":
-        raise ConfigError("run_step_and_project requires algorithm tag 'step_and_project'")
-    phi = _check_target(phi, cfg)
+    phi = _prepare(phi, cfg, "step_and_project")
     ball = IdentityBall(cfg.psi)
-    root = cfg.gamma ** (1.0 / cfg.L)
-    layers = [root * np.eye(cfg.d) for _ in range(cfg.L)]
-    rec = _Recorder(phi, cfg)
-    etas: list = []
-    status = "budget"
-    t = 0
-    while True:
-        if not _finite(layers):
-            status = "diverged"
-            break
-        pre, suf = prefix_suffix_products(layers)
-        prod = pre[cfg.L]
-        residual = prod - phi
-        loss_val = 0.5 * float(np.sum(residual * residual))
-        if not np.isfinite(loss_val) or loss_val > DIVERGE_LOSS:
-            status = "diverged"
-            break
-        rec.add(t, layers, prod, loss_val, None)
-        good_layers = layers
-        if loss_val <= cfg.epsilon:
-            status = "converged"
-            break
-        if t >= cfg.max_iters:
-            status = "budget"
-            break
-        eta = cfg.schedule.step(t)
-        etas.append(eta)
-        stepped = [
-            layers[k] - eta * (suf[k + 1].T @ residual @ pre[k].T)
-            for k in range(cfg.L)
-        ]
-        if not _finite(stepped):
-            status = "diverged"
-            break
-        layers = [project_identity_ball(m, ball) for m in stepped]
-        t += 1
-    final = _snapshot(good_layers) if rec.records else ()
-    return TrainingTrace(
-        "step_and_project", cfg.d, cfg.L, rec.records, etas, status, final, cfg.gamma
-    )
+
+    def settle(stepped):
+        return np.stack([project_identity_ball(m, ball) for m in stepped]), None, None
+
+    return _train(phi, cfg, cfg.gamma ** (1.0 / cfg.L), settle=settle)
 
 
 def run_penalty_gd(phi, cfg: TrainerConfig) -> TrainingTrace:
@@ -454,50 +388,12 @@ def run_penalty_gd(phi, cfg: TrainerConfig) -> TrainingTrace:
     penalty_canonical=False the loop instead descends the penalized
     objective, giving theta <- theta - eta (grad + kappa (theta - I)).
     """
-    cfg.validate()
-    if cfg.algorithm != "penalty_gd":
-        raise ConfigError("run_penalty_gd requires algorithm tag 'penalty_gd'")
-    phi = _check_target(phi, cfg)
-    eye = np.eye(cfg.d)
-    layers = [np.eye(cfg.d) for _ in range(cfg.L)]
-    rec = _Recorder(phi, cfg)
-    etas: list = []
-    status = "budget"
-    t = 0
-    while True:
-        if not _finite(layers):
-            status = "diverged"
-            break
-        pre, suf = prefix_suffix_products(layers)
-        prod = pre[cfg.L]
-        residual = prod - phi
-        loss_val = 0.5 * float(np.sum(residual * residual))
-        if not np.isfinite(loss_val) or loss_val > DIVERGE_LOSS:
-            status = "diverged"
-            break
-        rec.add(t, layers, prod, loss_val, None)
-        good_layers = layers
-        if loss_val <= cfg.epsilon:
-            status = "converged"
-            break
-        if t >= cfg.max_iters:
-            status = "budget"
-            break
-        eta = cfg.schedule.step(t)
-        etas.append(eta)
-        grads = [suf[k + 1].T @ residual @ pre[k].T for k in range(cfg.L)]
+    phi = _prepare(phi, cfg, "penalty_gd")
+    eye, kappa = np.eye(cfg.d), cfg.kappa
+
+    def update(layers, grads, eta):
         if cfg.penalty_canonical:
-            layers = [
-                (1.0 - cfg.kappa) * layers[k] + cfg.kappa * eye - eta * grads[k]
-                for k in range(cfg.L)
-            ]
-        else:
-            layers = [
-                layers[k] - eta * (grads[k] + cfg.kappa * (layers[k] - eye))
-                for k in range(cfg.L)
-            ]
-        t += 1
-    final = _snapshot(good_layers) if rec.records else ()
-    return TrainingTrace(
-        "penalty_gd", cfg.d, cfg.L, rec.records, etas, status, final, cfg.gamma
-    )
+            return (1.0 - kappa) * layers + kappa * eye - eta * grads
+        return layers - eta * (grads + kappa * (layers - eye))
+
+    return _train(phi, cfg, update=update)

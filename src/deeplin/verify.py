@@ -19,7 +19,7 @@ checked here.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -272,13 +272,15 @@ def check_commuting_normal(trace: TrainingTrace, phi, tol: float = 1e-9) -> Chec
     )
 
 
-def simulate_scalar_recurrence(target_power: float, L: int, etas, steps: int) -> np.ndarray:
-    """Iterate v <- v + eta v^(L-1) (target_power - v^L) from v = 1; returns
-    the sequence of length steps + 1.  This is the exact per-eigenvalue
-    evolution of simultaneous gradient descent on commuting symmetric
-    iterates."""
-    out = np.empty(steps + 1)
-    v = 1.0
+def simulate_scalar_recurrence(target_power, L: int, etas, steps: int) -> np.ndarray:
+    """Iterate v <- v + eta v^(L-1) (target_power - v^L) from v = 1,
+    elementwise when ``target_power`` is an array; returns the sequence,
+    of shape (steps + 1,) + the shape of ``target_power``.  This is the
+    exact per-eigenvalue evolution of simultaneous gradient descent on
+    commuting symmetric iterates."""
+    target_power = np.asarray(target_power, dtype=float)
+    out = np.empty((steps + 1,) + target_power.shape)
+    v = np.ones_like(target_power)
     out[0] = v
     for t in range(steps):
         eta = float(etas[min(t, len(etas) - 1)]) if len(etas) else 0.0
@@ -299,12 +301,11 @@ def eigen_recurrence_check(trace: TrainingTrace, phi, tol: float = 1e-9) -> Chec
         raise ValueError("trace has no recorded spectra")
     L = trace.L
     mu = np.linalg.eigvalsh(sym(phi))
-    sim = np.ones_like(mu)
-    etas = trace.etas
+    sims = simulate_scalar_recurrence(mu, L, trace.etas, len(trace.records) - 1)
     violations = 0
     worst = None
     worst_val = -1.0
-    for t, record in enumerate(trace.records):
+    for record, sim in zip(trace.records, sims):
         rec_sorted = np.sort_complex(record.eigenvalues)
         sim_prod = np.sort(sim**L)
         mismatch = float(np.max(np.abs(rec_sorted - sim_prod)))
@@ -325,8 +326,6 @@ def eigen_recurrence_check(trace: TrainingTrace, phi, tol: float = 1e-9) -> Chec
                 "bracket_violated": bracket_bad,
                 "tolerance": tol,
             }
-        if t < len(etas):
-            sim = sim + etas[t] * sim ** (L - 1) * (mu - sim**L)
     return _finish(
         "eigen_recurrence", len(trace.records), violations, worst,
         f"worst mismatch {worst_val:.3e}",

@@ -222,6 +222,42 @@ def test_eigen_recurrence_check_skips_without_spectra():
     assert report.checks_passed
 
 
+def test_no_finite_iterate_skips_network_checks(tmp_path):
+    # the initial loss is above the divergence threshold, so the trace has
+    # no records and no final network to check
+    data = demo_config(tmp_path)
+    data["target"] = {"kind": "explicit", "d": 1, "entries": [[1e7]]}
+    data["trainer"] = {
+        "algorithm": "gd", "d": 1, "L": 3,
+        "schedule": {"mode": "constant", "eta": 0.05}, "max_iters": 10,
+    }
+    data["checks"] = ["fd_gradient", "trace_recurrence"]
+    report = run_scenario(scenario_from_dict(data))
+    assert report.status == "diverged"
+    assert report.final_loss is None and report.iterations is None
+    by_name = {c.name: c for c in report.checks}
+    assert by_name["fd_gradient"].status == "skipped"
+    assert by_name["fd_gradient"].note == "no finite iterate"
+    assert by_name["trace_recurrence"].status == "skipped"
+    assert (tmp_path / "demo_trace.csv").read_text().count("\n") == 1
+
+
+def test_power_projection_overflowing_half_step_diverges(tmp_path):
+    # the half-step layers are finite but their 64-fold product overflows
+    data = demo_config(tmp_path)
+    data["target"] = {"kind": "spd", "d": 2, "eigenvalues": [3.0, 3.0], "seed": 1}
+    data["trainer"] = {
+        "algorithm": "power_projection", "d": 2, "L": 64, "gamma": 0.5,
+        "schedule": {"mode": "constant", "eta": 1e6}, "max_iters": 10,
+    }
+    data["checks"] = ["fd_gradient", "trace_recurrence"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = run_scenario(scenario_from_dict(data))
+    assert report.status == "diverged"
+    assert report.iterations == 0
+    assert all(c.status == "pass" for c in report.checks)
+
+
 def test_matrix_csv_round_trip(tmp_path):
     rng = np.random.default_rng(61)
     a = rng.standard_normal((3, 3))

@@ -18,7 +18,6 @@ from deeplin.matcore import (
     sigma_min,
     singular_values,
     skew,
-    spectral,
     sym,
     unvec,
     vec,
@@ -153,15 +152,6 @@ def test_frob_norm_matches_trace_form():
 
     assert frob_norm(a) ** 2 == pytest.approx(np.trace(a.T @ a), rel=1e-10)
     assert op_norm(a) >= sigma_min(a) >= 0.0
-
-
-def test_spectral_bundle():
-    a = np.diag([2.0, -1.0])
-    data = spectral(a)
-    np.testing.assert_allclose(sorted(data.eigenvalues.real), [-1.0, 2.0])
-    np.testing.assert_allclose(sorted(data.singular_values), [1.0, 2.0])
-    recon = (data.left_basis * data.singular_values) @ data.right_basis
-    np.testing.assert_allclose(recon, a, atol=1e-14)
 
 
 def test_cond_estimate_singular():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from deeplin.lab import random_orthogonal
 from deeplin.matcore import skew, sym
 from deeplin.project import (
-    GammaPositiveSet,
     IdentityBall,
     project_gamma_positive,
     project_identity_ball,
@@ -55,16 +54,6 @@ def test_gamma_positive_pure_skew_input():
     out = project_gamma_positive(k, 0.7)
     np.testing.assert_array_equal(out - np.diag(np.diag(out)), k)
     np.testing.assert_allclose(np.diag(out), 0.7, atol=1e-15)
-
-
-def test_gamma_positive_set_membership():
-    s = GammaPositiveSet(0.5)
-    assert s.contains(np.eye(2))
-    assert not s.contains(0.3 * np.eye(2))
-    y = s.project(0.3 * np.eye(2))
-    np.testing.assert_allclose(y, 0.5 * np.eye(2), atol=1e-14)
-    with pytest.raises(ValueError):
-        GammaPositiveSet(0.0)
 
 
 def test_projections_idempotent():

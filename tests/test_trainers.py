@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from deeplin.errors import ConfigError
+from deeplin.network import DeepLinearNet, full_gradient
 from deeplin.trainers import (
     DIVERGE_LOSS,
     StepSchedule,
@@ -59,6 +60,20 @@ def test_gd_updates_are_simultaneous():
         assert record.layers[0][0, 0] == record.layers[1][0, 0]
 
 
+def test_gd_step_matches_per_layer_gradient():
+    # the stacked step does the per-layer arithmetic, so it agrees bitwise
+    # with the network module's gradient at each recorded iterate
+    phi = np.random.default_rng(3).standard_normal((3, 3))
+    cfg = TrainerConfig(
+        "gd", 3, 4, StepSchedule("constant", 0.02), max_iters=3, record_layers=True
+    )
+    trace = run_gd(phi, cfg)
+    for before, after in zip(trace.records, trace.records[1:]):
+        grads = full_gradient(DeepLinearNet(before.layers), phi).layers
+        for m, g, m_next in zip(before.layers, grads, after.layers):
+            np.testing.assert_array_equal(m_next, m - 0.02 * g)
+
+
 def test_gd_converged_at_start():
     cfg = TrainerConfig(
         "gd", 2, 3, StepSchedule("constant", 0.1), max_iters=10, epsilon=1e-15
@@ -79,6 +94,43 @@ def test_gd_divergence_keeps_last_finite_iterate():
     assert all(np.isfinite(m).all() for m in trace.final_layers)
     assert trace.records[-1].loss <= DIVERGE_LOSS
     assert np.isfinite(trace.losses()).all()
+
+
+DIVERGING = [
+    pytest.param("gd", {}, 1.0, id="gd-1"),
+    pytest.param("penalty_gd", dict(kappa=0.5), 1.0, id="penalty-1"),
+    pytest.param("penalty_gd", dict(kappa=0.5, penalty_canonical=False), 1.0,
+                 id="penalty-alt-1"),
+    pytest.param("gd", {}, 1e308, id="gd-1e308"),
+    pytest.param("penalty_gd", dict(kappa=0.5), 1e308, id="penalty-1e308"),
+    pytest.param("penalty_gd", dict(kappa=0.5, penalty_canonical=False), 1e308,
+                 id="penalty-alt-1e308"),
+    pytest.param("step_and_project", dict(gamma=1.0, psi=0.5), 1e308,
+                 id="step_and_project-1e308"),
+    pytest.param("power_projection", dict(gamma=0.5), 1e308,
+                 id="power_projection-1e308"),
+]
+RUNNERS = {
+    "gd": run_gd,
+    "penalty_gd": run_penalty_gd,
+    "step_and_project": run_step_and_project,
+    "power_projection": run_power_projection,
+}
+
+
+@pytest.mark.parametrize("algorithm, extra, eta", DIVERGING)
+def test_divergence_keeps_last_finite_iterate(algorithm, extra, eta):
+    # eta 1 blows the loss past DIVERGE_LOSS on gd and penalty; eta 1e308
+    # makes the stepped iterate, or its product, non-finite on all four
+    cfg = TrainerConfig(
+        algorithm, 1, 3, StepSchedule("constant", eta), max_iters=50, **extra
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = RUNNERS[algorithm](np.array([[3.0]]), cfg)
+    assert trace.status == "diverged"
+    assert all(np.isfinite(m).all() for m in trace.final_layers)
+    assert trace.records[-1].loss <= DIVERGE_LOSS
+    assert len(trace.etas) == len(trace.records)
 
 
 def test_sequence_schedule_repeats_last_step():
