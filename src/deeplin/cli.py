@@ -7,7 +7,8 @@ Subcommands:
     factor   balanced factorization of a matrix CSV
 
 Exit codes: 0 success, 1 failed checks or failed criteria, 2 config error,
-3 numeric failure.
+3 numeric failure.  A sweep exits with the gravest code of its scenarios
+(3, then 2, then 1).
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ def _print_scenario(report) -> None:
 def _scenario_exit(reports) -> int:
     if any(r.status == "error" for r in reports):
         return 3
+    if any(r.status == "config-error" for r in reports):
+        return 2
     if any(not r.checks_passed for r in reports):
         return 1
     return 0
@@ -58,7 +61,10 @@ def _cmd_sweep(args) -> int:
     reports = lab.sweep(args.directory, workers=args.workers)
     for report in reports:
         _print_scenario(report)
-    bad = sum(1 for r in reports if r.status == "error" or not r.checks_passed)
+    bad = sum(
+        1 for r in reports
+        if r.status in ("error", "config-error") or not r.checks_passed
+    )
     print(f"sweep: {len(reports) - bad}/{len(reports)} scenarios clean")
     return _scenario_exit(reports)
 

@@ -364,7 +364,8 @@ class ScenarioReport:
 
 def _run_checks(names, trace: TrainingTrace, phi: np.ndarray) -> list:
     """One report per name.  Network checks are skipped when the trace kept
-    no finite iterate."""
+    no finite iterate.  Checkers report their own preconditions as skipped,
+    so an exception from one is a fault and fails its check."""
     reports = []
     final_net = DeepLinearNet(trace.final_layers) if trace.final_layers else None
     for name in names:
@@ -377,8 +378,9 @@ def _run_checks(names, trace: TrainingTrace, phi: np.ndarray) -> list:
                 )
             else:
                 reports.append(_NET_CHECKS[name](final_net, phi))
-        except ValueError as exc:
-            reports.append(CheckReport(name, 0, 0, None, "skipped", str(exc)))
+        except Exception as exc:
+            note = f"{type(exc).__name__}: {exc}"
+            reports.append(CheckReport(name, 0, 0, None, "fail", note))
     return reports
 
 
@@ -443,7 +445,14 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
 
 
 def _run_scenario_path(path: str) -> ScenarioReport:
-    return run_scenario(load_scenario(path))
+    """Run one sweep config; a config error becomes a ``config-error``
+    report named after the file, so the other scenarios still report."""
+    try:
+        return run_scenario(load_scenario(path))
+    except ConfigError as exc:
+        return ScenarioReport(
+            Path(path).stem, "config-error", None, None, detail=str(exc)
+        )
 
 
 def default_workers() -> int:
@@ -457,7 +466,8 @@ def sweep(directory, workers: int | None = None) -> list:
     """Run every ``*.json`` scenario in a directory, in sorted order.
 
     Concurrency is bounded by ``workers`` (default: the DEEPLIN_WORKERS
-    environment variable, falling back to 1).
+    environment variable, falling back to 1).  A config that fails to load
+    or validate gets a ``config-error`` report in its place.
     """
     directory = Path(directory)
     paths = sorted(str(p) for p in directory.glob("*.json"))

@@ -2,9 +2,6 @@
 
 Conventions that the rest of the package relies on:
 
-* ``vec`` stacks columns (column-major).  All Kronecker identities used in
-  the second-derivative assembly assume column stacking, so this choice is
-  load-bearing.
 * Matrices are float64 ndarrays, treated as immutable once validated.
 * Dimensions are desk scale.  ``as_mat`` and the domain constructors enforce
   the bounds below at construction time.
@@ -49,42 +46,6 @@ def require_square(a: np.ndarray, name: str = "matrix") -> int:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
     return a.shape[0]
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product.  Inputs may be intermediate (large) matrices."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("kron expects 2-D operands")
-    return np.kron(a, b)
-
-
-def vec(a) -> np.ndarray:
-    """Column-stacking vectorization, returned as an (mn, 1) column."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise ValueError("vec expects a 2-D operand")
-    return a.reshape(-1, 1, order="F")
-
-
-def unvec(v, rows: int, cols: int) -> np.ndarray:
-    """Inverse of ``vec`` for a vector with rows*cols entries."""
-    v = np.asarray(v, dtype=float).reshape(-1)
-    if v.size != rows * cols:
-        raise ValueError(f"cannot reshape {v.size} entries into {rows}x{cols}")
-    return v.reshape(rows, cols, order="F")
-
-
-def commutation_matrix(m: int, n: int) -> np.ndarray:
-    """Permutation T with T @ vec(A) = vec(A.T) for every m x n matrix A."""
-    if m < 1 or n < 1:
-        raise ValueError("commutation matrix needs positive dimensions")
-    t = np.zeros((m * n, m * n))
-    r, c = np.meshgrid(np.arange(m), np.arange(n), indexing="ij")
-    # a_{rc} sits at c*m + r in vec(A) and at r*n + c in vec(A.T)
-    t[(r * n + c).ravel(), (c * m + r).ravel()] = 1.0
-    return t
 
 
 def sym(a) -> np.ndarray:

@@ -1,13 +1,13 @@
 """Deep linear model with square layers and the population quadratic loss.
 
 The model applies layer 1 first, so the end-to-end map is the reversed
-matrix product ``layers[L-1] @ ... @ layers[0]``.  Partial products use the
-1-based notation ``partial_product(net, i, j)`` = layer j down to layer i,
-with the empty-product convention (identity when i > j).
+matrix product ``layers[L-1] @ ... @ layers[0]``.  Layer indices in the
+formulas below are 1-based; P[k] and S[k] are the prefix and suffix
+products of ``prefix_suffix_products``.
 
 The loss is ``0.5 * ||product - target||_F^2``.  Derivative formulas below
 are exact for this convention; the flattening used throughout is layer-major
-with column-major ``vec`` inside each layer.
+and column-major inside each layer.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .matcore import as_mat, commutation_matrix, kron, require_square, vec
+from .matcore import as_mat, require_square
 
 
 @dataclass(frozen=True)
@@ -56,10 +56,6 @@ class DeepLinearNet:
     @staticmethod
     def identity(d: int, L: int) -> "DeepLinearNet":
         return DeepLinearNet(tuple(np.eye(d) for _ in range(L)))
-
-    @staticmethod
-    def scaled_identity(d: int, L: int, scale: float) -> "DeepLinearNet":
-        return DeepLinearNet(tuple(scale * np.eye(d) for _ in range(L)))
 
 
 @dataclass(frozen=True)
@@ -106,20 +102,6 @@ def end_to_end(net: DeepLinearNet) -> np.ndarray:
     return pre[net.L]
 
 
-def partial_product(net: DeepLinearNet, i: int, j: int) -> np.ndarray:
-    """Product of layers i..j applied in order (layer j leftmost); identity
-    when i > j.  Indices are 1-based; i may be L+1 and j may be 0."""
-    L = net.L
-    if not 1 <= i <= L + 1:
-        raise ValueError(f"start index {i} out of range for {L} layers")
-    if not 0 <= j <= L:
-        raise ValueError(f"end index {j} out of range for {L} layers")
-    out = np.eye(net.d)
-    for k in range(i - 1, j):
-        out = net.layers[k] @ out
-    return out
-
-
 def loss(net: DeepLinearNet, phi) -> LossReport:
     """Half squared Frobenius distance between the end-to-end map and ``phi``."""
     phi = as_mat(phi, name="target")
@@ -127,16 +109,6 @@ def loss(net: DeepLinearNet, phi) -> LossReport:
         raise ValueError("target dimension does not match the network")
     residual = end_to_end(net) - phi
     return LossReport(0.5 * float(np.sum(residual * residual)), residual)
-
-
-def layer_gradient(net: DeepLinearNet, phi, i: int) -> np.ndarray:
-    """Gradient of the loss with respect to layer i (1-based)."""
-    if not 1 <= i <= net.L:
-        raise ValueError(f"layer index {i} out of range")
-    phi = as_mat(phi, name="target")
-    pre, suf = prefix_suffix_products(net.layers)
-    residual = pre[net.L] - phi
-    return suf[i].T @ residual @ pre[i - 1].T
 
 
 def full_gradient(net: DeepLinearNet, phi) -> GradientSet:
@@ -155,10 +127,18 @@ def full_gradient(net: DeepLinearNet, phi) -> GradientSet:
 def full_hessian(net: DeepLinearNet, phi) -> np.ndarray:
     """Full second-derivative matrix, shape (L d^2, L d^2).
 
-    Assembled blockwise from the exact Kronecker expressions for mixed layer
-    derivatives; the lower off-diagonal blocks are transposes of their upper
-    counterparts.  Cost grows like d^6 per block, fine at desk scale but
-    capped by MAX_HESSIAN_SIDE.
+    With G_i the gradient of layer i, residual R, M the product of layers
+    i+1..j-1 and Q = S[j]^T R P[i-1]^T, block (i, j) for i <= j is
+
+        dG_i[a,b] / dW_j[c,e] = (S[i]^T S[j])[a,c] (P[j-1] P[i-1]^T)[e,b]
+                                + [i < j] M[e,a] Q[c,b],
+
+    laid out as a (d, d, d, d) array indexed [b, a, e, c], which is the
+    column-major flattening of both layers.  M is carried along j with one
+    product per block.  The lower off-diagonal blocks are transposes of
+    their upper counterparts.  Each block costs O(d^4) and no intermediate
+    has more than d^4 entries; the output itself is capped by
+    MAX_HESSIAN_SIDE.
     """
     d, L = net.d, net.L
     n = L * d * d
@@ -172,26 +152,20 @@ def full_hessian(net: DeepLinearNet, phi) -> np.ndarray:
 
     pre, suf = prefix_suffix_products(net.layers)
     residual = pre[L] - phi
-    t_dd = commutation_matrix(d, d)
-    eye_d = np.eye(d)
-    eye_d2 = np.eye(d * d)
-    # Common left factor of every block: contraction with vec of the identity
-    # composed with the middle commutation.
-    lead = kron(eye_d2, vec(eye_d).T) @ kron(eye_d, kron(t_dd, eye_d))
-
     dd = d * d
-    h = np.zeros((n, n))
+    h = np.empty((n, n))
     for i in range(1, L + 1):
-        left_i = lead @ kron(vec(pre[i - 1].T), eye_d2)
+        rows = slice((i - 1) * dd, i * dd)
+        mid = np.eye(d)
         for j in range(i, L + 1):
-            if j == i:
-                core = kron(suf[i].T @ suf[i], pre[i - 1].T) @ t_dd
-            else:
-                mid = partial_product(net, i + 1, j - 1)
-                core = kron(suf[i].T @ suf[j], pre[j - 1].T) @ t_dd
-                core += kron(mid.T, residual.T @ suf[j])
-            block = left_i @ core
-            h[(i - 1) * dd : i * dd, (j - 1) * dd : j * dd] = block
-            if j != i:
-                h[(j - 1) * dd : j * dd, (i - 1) * dd : i * dd] = block.T
+            cols = slice((j - 1) * dd, j * dd)
+            block = np.einsum(
+                "ac,eb->baec", suf[i].T @ suf[j], pre[j - 1] @ pre[i - 1].T
+            )
+            if j > i:
+                q = suf[j].T @ residual @ pre[i - 1].T
+                block += np.einsum("ea,cb->baec", mid, q)
+                mid = net.layers[j - 1] @ mid
+                h[cols, rows] = block.reshape(dd, dd).T
+            h[rows, cols] = block.reshape(dd, dd)
     return h

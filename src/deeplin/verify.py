@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .matcore import ABS_FLOOR, frob_norm, op_norm, sym
+from .matcore import ABS_FLOOR, MAX_HESSIAN_SIDE, frob_norm, op_norm, sym
 from .network import DeepLinearNet, full_gradient, full_hessian, loss
 from .trainers import TrainingTrace
 
@@ -74,6 +74,14 @@ def _loss_flat(x: np.ndarray, phi: np.ndarray, d: int, L: int) -> float:
     return 0.5 * float(np.sum(r * r))
 
 
+def _oversized_hessian_note(net: DeepLinearNet) -> str:
+    """Why the second-derivative matrix of ``net`` is not formed, or ''."""
+    n = net.L * net.d * net.d
+    if n > MAX_HESSIAN_SIDE:
+        return f"second-derivative side {n} exceeds the bound {MAX_HESSIAN_SIDE}"
+    return ""
+
+
 def _check_h(h: float):
     if not 1e-8 < h < 1e-2:
         raise ValueError(f"finite-difference step {h} outside the sane range")
@@ -122,6 +130,8 @@ def fd_hessian_check(net: DeepLinearNet, phi, h: float = 1e-3, tol: float = 1e-4
     """Second-order central differences against the assembled
     second-derivative matrix, compared entrywise in absolute terms."""
     _check_h(h)
+    if note := _oversized_hessian_note(net):
+        return _skipped("fd_hessian", note)
     phi = np.asarray(phi, dtype=float)
     d, L = net.d, net.L
     n = L * d * d
@@ -207,6 +217,8 @@ def check_hessian_upper_bound(net: DeepLinearNet, phi) -> CheckReport:
             "hessian_upper_bound",
             "target norm exceeds (1+z)^L; precondition unmet",
         )
+    if note := _oversized_hessian_note(net):
+        return _skipped("hessian_upper_bound", note)
     lhs = frob_norm(full_hessian(net, phi))
     rhs = 3.0 * net.L * net.d**5 * (1.0 + z) ** (2 * net.L)
     violations = int(lhs > rhs + SLACK)
@@ -239,7 +251,9 @@ def check_commuting_normal(trace: TrainingTrace, phi, tol: float = 1e-9) -> Chec
     phi = np.asarray(phi, dtype=float)
     scale = max(frob_norm(phi), 1.0)
     if frob_norm(phi - phi.T) > 1e-10 * scale:
-        raise ValueError("commuting-normal check requires a symmetric target")
+        return _skipped(
+            "commuting_normal", "commuting-normal check requires a symmetric target"
+        )
     if not trace.records or trace.records[0].layers is None:
         return _skipped("commuting_normal", "trace has no layer snapshots")
     check_equal = trace.algorithm in ("gd", "penalty_gd")
@@ -296,9 +310,11 @@ def eigen_recurrence_check(trace: TrainingTrace, phi, tol: float = 1e-9) -> Chec
     phi = np.asarray(phi, dtype=float)
     scale = max(frob_norm(phi), 1.0)
     if frob_norm(phi - phi.T) > 1e-10 * scale:
-        raise ValueError("eigenvalue recurrence check requires a symmetric target")
+        return _skipped(
+            "eigen_recurrence", "eigenvalue recurrence check requires a symmetric target"
+        )
     if not trace.records or trace.records[0].eigenvalues is None:
-        raise ValueError("trace has no recorded spectra")
+        return _skipped("eigen_recurrence", "trace has no recorded spectra")
     L = trace.L
     mu = np.linalg.eigvalsh(sym(phi))
     sims = simulate_scalar_recurrence(mu, L, trace.etas, len(trace.records) - 1)

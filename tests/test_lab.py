@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from deeplin import cli
+from deeplin import cli, lab
 from deeplin.errors import ConfigError
 from deeplin.lab import (
     ScenarioConfig,
@@ -258,6 +258,39 @@ def test_power_projection_overflowing_half_step_diverges(tmp_path):
     assert all(c.status == "pass" for c in report.checks)
 
 
+def test_crashing_checker_fails_its_check(monkeypatch):
+    def broken(net, phi):
+        raise ValueError("operands could not be broadcast")
+
+    monkeypatch.setattr(lab, "check_gradient_lower_bound", broken)
+    data = demo_config()
+    data["checks"] = ["gradient_lower_bound", "trace_recurrence"]
+    report = run_scenario(scenario_from_dict(data))
+    by_name = {c.name: c for c in report.checks}
+    assert by_name["gradient_lower_bound"].status == "fail"
+    assert by_name["gradient_lower_bound"].note == (
+        "ValueError: operands could not be broadcast"
+    )
+    assert by_name["trace_recurrence"].status == "pass"
+    assert not report.checks_passed
+
+
+def test_hessian_upper_bound_at_max_dim():
+    # d = MAX_DIM: the curvature check must run in bounded memory
+    data = demo_config()
+    data["target"] = {
+        "kind": "spd", "d": 16, "eigenvalues": [0.5] * 8 + [1.0] * 8, "seed": 3,
+    }
+    data["trainer"] = {
+        "algorithm": "gd", "d": 16, "L": 1,
+        "schedule": {"mode": "constant", "eta": 0.1}, "max_iters": 5,
+    }
+    data["checks"] = ["hessian_upper_bound"]
+    report = run_scenario(scenario_from_dict(data))
+    assert [c.name for c in report.checks] == ["hessian_upper_bound"]
+    assert report.checks[0].status == "pass"
+
+
 def test_matrix_csv_round_trip(tmp_path):
     rng = np.random.default_rng(61)
     a = rng.standard_normal((3, 3))
@@ -353,6 +386,23 @@ def test_cli_sweep(tmp_path, capsys):
     (tmp_path / "one.json").write_text(json.dumps(data))
     assert cli.main(["sweep", str(tmp_path)]) == 0
     assert "1/1 scenarios clean" in capsys.readouterr().out
+
+
+def test_sweep_reports_config_error_and_continues(tmp_path, capsys):
+    data = demo_config()
+    data["scenario_id"] = "good"
+    data["checks"] = []
+    (tmp_path / "good.json").write_text(json.dumps(data))
+    (tmp_path / "bad.json").write_text("{not json")
+    reports = sweep(tmp_path)
+    assert [(r.scenario_id, r.status) for r in reports] == [
+        ("bad", "config-error"), ("good", "converged"),
+    ]
+    assert "not valid JSON" in reports[0].detail
+    assert cli.main(["sweep", str(tmp_path)]) == 2
+    out = capsys.readouterr().out
+    assert "bad: status=config-error" in out
+    assert "1/2 scenarios clean" in out
 
 
 def test_cli_factor_and_numeric_exit(tmp_path, capsys):

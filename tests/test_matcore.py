@@ -1,17 +1,13 @@
-"""Kernel matrix utilities: vec, kron, commutation matrix, spectra."""
+"""Kernel matrix utilities: validation, sym/skew, rotation, spectra."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from deeplin.errors import NumericError
 from deeplin.matcore import (
     MAX_DIM,
     as_mat,
-    commutation_matrix,
     cond_estimate,
-    kron,
     op_norm,
     require_square,
     rotation,
@@ -19,8 +15,6 @@ from deeplin.matcore import (
     singular_values,
     skew,
     sym,
-    unvec,
-    vec,
 )
 
 
@@ -33,93 +27,6 @@ def test_as_mat_rejects_bad_input():
         as_mat(np.zeros((MAX_DIM + 1, MAX_DIM + 1)))
     with pytest.raises(ValueError):
         require_square(np.zeros((2, 3)))
-
-
-def test_kron_frozen_examples():
-    a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    b = np.array([[1.0, 2.0], [3.0, 4.0]])
-    expected = np.array(
-        [
-            [0.0, 0.0, 1.0, 2.0],
-            [0.0, 0.0, 3.0, 4.0],
-            [1.0, 2.0, 0.0, 0.0],
-            [3.0, 4.0, 0.0, 0.0],
-        ]
-    )
-    np.testing.assert_array_equal(kron(a, b), expected)
-    # blockwise definition worked out by hand with the swap on the right
-    expected_ba = np.array(
-        [
-            [0.0, 1.0, 0.0, 2.0],
-            [1.0, 0.0, 2.0, 0.0],
-            [0.0, 3.0, 0.0, 4.0],
-            [3.0, 0.0, 4.0, 0.0],
-        ]
-    )
-    np.testing.assert_array_equal(kron(b, a), expected_ba)
-    np.testing.assert_array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_kron_mixed_product_identity():
-    rng = np.random.default_rng(7)
-    a, c = rng.standard_normal((2, 3)), rng.standard_normal((3, 2))
-    b, d = rng.standard_normal((3, 2)), rng.standard_normal((2, 3))
-    lhs = kron(a, b) @ kron(c, d)
-    rhs = kron(a @ c, b @ d)
-    scale = max(1.0, np.linalg.norm(lhs))
-    assert np.linalg.norm(lhs - rhs) <= 1e-10 * scale
-
-
-def test_vec_is_column_major():
-    a = np.array([[1.0, 3.0], [2.0, 4.0]])
-    np.testing.assert_array_equal(vec(a).ravel(), [1.0, 2.0, 3.0, 4.0])
-    np.testing.assert_array_equal(unvec(vec(a), 2, 2), a)
-
-
-def test_commutation_matrix_small():
-    k = commutation_matrix(2, 2)
-    assert k.shape == (4, 4)
-    # permutation matrix: orthogonal with 0/1 entries
-    np.testing.assert_array_equal(k @ k.T, np.eye(4))
-    assert set(np.unique(k)) <= {0.0, 1.0}
-    # maps (a,c,b,d) to (a,b,c,d)
-    np.testing.assert_array_equal(
-        k @ np.array([1.0, 3.0, 2.0, 4.0]), [1.0, 2.0, 3.0, 4.0]
-    )
-
-
-def test_commutation_matrix_degenerate_and_inverse():
-    for n in (1, 2, 3):
-        np.testing.assert_array_equal(commutation_matrix(1, n), np.eye(n))
-        np.testing.assert_array_equal(commutation_matrix(n, 1), np.eye(n))
-    np.testing.assert_array_equal(
-        commutation_matrix(2, 3).T, commutation_matrix(3, 2)
-    )
-    np.testing.assert_array_equal(
-        commutation_matrix(3, 2) @ commutation_matrix(2, 3), np.eye(6)
-    )
-
-
-@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 10**6))
-@settings(max_examples=40, deadline=None)
-def test_commutation_matrix_transposes_vec(m, n, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((m, n))
-    k = commutation_matrix(m, n)
-    np.testing.assert_allclose(k @ vec(a), vec(a.T), atol=0.0)
-
-
-@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 10**6))
-@settings(max_examples=30, deadline=None)
-def test_kron_vec_identity(m, n, seed):
-    # vec(A X B) = (B^T kron A) vec(X)
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((m, m))
-    b = rng.standard_normal((n, n))
-    x = rng.standard_normal((m, n))
-    lhs = vec(a @ x @ b)
-    rhs = kron(b.T, a) @ vec(x)
-    np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
 def test_sym_skew_split():

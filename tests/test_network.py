@@ -5,6 +5,8 @@ target 5 give product 24, residual 19, and the second derivatives reduce
 to products of the complementary layer scalars.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,7 @@ from deeplin.network import (
     end_to_end,
     full_gradient,
     full_hessian,
-    layer_gradient,
     loss,
-    partial_product,
 )
 
 
@@ -38,8 +38,6 @@ def test_identity_factories():
     net = DeepLinearNet.identity(3, 4)
     assert net.d == 3 and net.L == 4
     np.testing.assert_array_equal(end_to_end(net), np.eye(3))
-    scaled = DeepLinearNet.scaled_identity(2, 3, 0.5)
-    np.testing.assert_allclose(end_to_end(scaled), 0.125 * np.eye(2))
 
 
 def test_application_order():
@@ -48,19 +46,6 @@ def test_application_order():
     b = np.array([[1.0, 0.0], [0.0, 0.0]])
     net = DeepLinearNet((a, b))
     np.testing.assert_array_equal(end_to_end(net), b @ a)
-
-
-def test_partial_products_scalar():
-    net = scalar_net()
-    assert partial_product(net, 1, 3)[0, 0] == 24.0
-    assert partial_product(net, 2, 3)[0, 0] == 12.0
-    assert partial_product(net, 1, 2)[0, 0] == 6.0
-    # empty range gives the identity
-    np.testing.assert_array_equal(partial_product(net, 2, 1), np.eye(1))
-    with pytest.raises(ValueError):
-        partial_product(net, 0, 3)
-    with pytest.raises(ValueError):
-        partial_product(net, 1, 4)
 
 
 def test_loss_frozen_values():
@@ -81,10 +66,10 @@ def test_loss_frozen_values():
 def test_gradient_frozen_scalar_values():
     net = scalar_net()
     phi = np.array([[5.0]])
-    assert layer_gradient(net, phi, 1)[0, 0] == pytest.approx(228.0)
-    assert layer_gradient(net, phi, 2)[0, 0] == pytest.approx(152.0)
-    assert layer_gradient(net, phi, 3)[0, 0] == pytest.approx(114.0)
     g = full_gradient(net, phi)
+    assert g.layers[0][0, 0] == pytest.approx(228.0)
+    assert g.layers[1][0, 0] == pytest.approx(152.0)
+    assert g.layers[2][0, 0] == pytest.approx(114.0)
     assert g.squared_norm == pytest.approx(228.0**2 + 152.0**2 + 114.0**2)
     assert g.flat.shape == (3,)
 
@@ -92,10 +77,9 @@ def test_gradient_frozen_scalar_values():
 def test_gradient_at_identity_is_negative_residual_everywhere():
     phi = np.diag([2.0, 0.5, 1.0])
     net = DeepLinearNet.identity(3, 4)
+    g = full_gradient(net, phi)
     for i in range(1, 5):
-        np.testing.assert_allclose(
-            layer_gradient(net, phi, i), np.eye(3) - phi, atol=0.0
-        )
+        np.testing.assert_allclose(g.layers[i - 1], np.eye(3) - phi, atol=0.0)
 
 
 def test_hessian_frozen_scalar_values():
@@ -203,3 +187,21 @@ def test_hessian_scalar_closed_form_equivalence():
 def test_hessian_size_cap():
     with pytest.raises(ValueError):
         full_hessian(DeepLinearNet.identity(16, 17), np.eye(16))
+
+
+def test_hessian_memory_stays_bounded():
+    # the output is 256 x 256 (0.5 MB); no d^4 x d^4 intermediate is allowed
+    rng = np.random.default_rng(14)
+    d, L = 8, 4
+    net = DeepLinearNet(
+        tuple(np.eye(d) + 0.1 * rng.standard_normal((d, d)) for _ in range(L))
+    )
+    phi = rng.standard_normal((d, d))
+    tracemalloc.start()
+    try:
+        h = full_hessian(net, phi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert h.shape == (L * d * d, L * d * d)
+    assert peak < 16 * 2**20
