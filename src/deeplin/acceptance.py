@@ -157,8 +157,8 @@ def _near_identity_gd(workdir):
     trace = run_gd(phi, cfg)
     rec = trace_recurrence_check(trace, phi)
     # iteration budget from the certified per-step factors
-    losses = trace.losses()
-    radii = trace.radii()
+    losses = trace.losses
+    radii = trace.radii
     bound = losses[0]
     t_star = None
     for t, eta in enumerate(trace.etas):
@@ -322,7 +322,7 @@ def _failure_floors(workdir):
     min_seen = np.inf
     evidence = []
     for trace in runs:
-        min_loss = float(np.min(trace.losses()))
+        min_loss = float(np.min(trace.losses))
         min_seen = min(min_seen, min_loss)
         comm = check_commuting_normal(trace, phi, tol=1e-9)
         if min_loss < floor - 1e-12 or not comm.passed:

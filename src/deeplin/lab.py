@@ -1,12 +1,14 @@
 """Experiment orchestration: target construction, scenario configs, trace
 artifacts, and the process-facing entry points behind the CLI.
 
-Artifacts per scenario (when an output directory is set): a trace CSV with
-the fixed column order ``t,loss,loss_half,radius_R,min_sv,max_norm,U_t``
-plus interleaved real/imag eigenvalue columns when spectra are recorded, a
-JSONL file with one check report per line, and a JSON scenario report.
-Floats are written with repr-faithful %.17g formatting, so reruns of the
-same build produce byte-identical CSVs.
+Each value in a scenario config must have its dataclass field's type.
+Artifacts per scenario (when an output directory is set): the trace's
+columns as a CSV in the fixed order ``t,loss,loss_half,radius_R,min_sv,
+max_norm,U_t`` plus interleaved real/imag eigenvalue columns when spectra
+are recorded (NaN is an empty cell), a JSONL file with one check report
+per line, and a JSON scenario report.  Floats are written with
+repr-faithful %.17g formatting, so reruns of the same build produce
+byte-identical CSVs.
 
 Matrix CSV interchange (used by the ``factor`` subcommand) is row-major
 with a ``d,<dim>`` header line.
@@ -15,16 +17,21 @@ with a ``d,<dim>`` header line.
 from __future__ import annotations
 
 import json
+import math
 import os
+import sys
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .matcore import MAX_DIM, as_mat, require_square, sym
+from .matcore import MAX_DIM, as_mat, frob_norm, require_square, rotation, sym
+from .project import gamma_margin
 from .trainers import (
     StepSchedule,
     TrainerConfig,
@@ -73,6 +80,10 @@ _TRACE_CHECKS = {
 }
 CHECK_NAMES = (*_NET_CHECKS, *_TRACE_CHECKS)
 
+# The step-size formulas square the target's norm, which overflows past
+# about 1e154; from the identity start such a target diverges at t = 0.
+MAX_TARGET_NORM = 1e150
+
 RUNNERS = {
     "gd": run_gd,
     "power_projection": run_power_projection,
@@ -92,13 +103,13 @@ class TargetSpec:
 
     kind: str
     d: int
-    eigenvalues: tuple = ()
-    angles: tuple = ()
+    eigenvalues: tuple[float, ...] = ()
+    angles: tuple[float, ...] = ()
     scale: float = 1.0
-    reflection_coeffs: tuple = ()
+    reflection_coeffs: tuple[float, ...] = ()
     lam: float = 0.0
     excess_loss: float = 0.0
-    entries: tuple = ()
+    entries: tuple[tuple[float, ...], ...] = ()
     seed: int = 0
 
 
@@ -111,22 +122,27 @@ def random_orthogonal(d: int, rng: np.random.Generator) -> np.ndarray:
     return q * signs
 
 
-def gamma_margin(phi) -> float:
-    """Smallest eigenvalue of the symmetric part."""
-    phi = as_mat(phi)
-    require_square(phi)
-    return float(np.linalg.eigvalsh(sym(phi))[0])
-
-
 def make_target(spec: TargetSpec) -> np.ndarray:
     """Materialize a target matrix from its spec.
 
-    Unknown kinds and invalid parameters raise ConfigError.
+    Unknown kinds, invalid parameters and a target that is not finite or
+    whose norm exceeds ``MAX_TARGET_NORM`` raise ConfigError.
     """
+    phi = _target_matrix(spec)
+    if not frob_norm(phi) <= MAX_TARGET_NORM:
+        raise ConfigError(
+            f"{spec.kind} target must be finite with norm at most {MAX_TARGET_NORM:g}"
+        )
+    return phi
+
+
+def _target_matrix(spec: TargetSpec) -> np.ndarray:
     if spec.kind not in TARGET_KINDS:
         raise ConfigError(f"unknown target kind {spec.kind!r}")
     if not 1 <= spec.d <= MAX_DIM:
         raise ConfigError(f"target dimension {spec.d} outside [1, {MAX_DIM}]")
+    if spec.seed < 0:
+        raise ConfigError(f"target seed {spec.seed} is negative")
     d = spec.d
     rng = np.random.default_rng(spec.seed)
 
@@ -145,10 +161,7 @@ def make_target(spec: TargetSpec) -> np.ndarray:
             raise ConfigError("rotation scale must be positive")
         phi = np.eye(d)
         for k, theta in enumerate(angles):
-            c, s = np.cos(theta), np.sin(theta)
-            phi[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = spec.scale * np.array(
-                [[c, -s], [s, c]]
-            )
+            phi[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = spec.scale * rotation(theta)
         return phi
 
     if spec.kind == "partial_reflection":
@@ -177,12 +190,9 @@ def make_target(spec: TargetSpec) -> np.ndarray:
         return np.eye(d) + np.sqrt(2.0 * spec.excess_loss) * e
 
     # explicit
-    phi = np.asarray(spec.entries, dtype=float)
-    if phi.shape != (d, d):
+    if len(spec.entries) != d or any(len(row) != d for row in spec.entries):
         raise ConfigError(f"explicit entries must form a {d}x{d} matrix")
-    if not np.all(np.isfinite(phi)):
-        raise ConfigError("explicit entries must be finite")
-    return phi
+    return np.asarray(spec.entries, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +204,7 @@ class ScenarioConfig:
     scenario_id: str
     target: TargetSpec
     trainer: TrainerConfig
-    checks: tuple = ()
+    checks: tuple[str, ...] = ()
     output_dir: str | None = None
     schema: int = SCHEMA_VERSION
 
@@ -206,53 +216,67 @@ class ScenarioConfig:
         for name in self.checks:
             if name not in CHECK_NAMES:
                 raise ConfigError(f"unknown check {name!r}")
-        try:
-            self.trainer.validate()
-        except ConfigError:
-            raise
+        self.trainer.validate()
         if self.trainer.d != self.target.d:
             raise ConfigError("trainer and target dimensions disagree")
 
 
-def _build(cls, data: dict, context: str):
-    fields = {f for f in cls.__dataclass_fields__}
-    unknown = set(data) - fields
+def _frozen(value):
+    """JSON arrays as (nested) tuples."""
+    return tuple(map(_frozen, value)) if isinstance(value, (list, tuple)) else value
+
+
+def _conforms(value, kind) -> bool:
+    """Whether a value fits a declared field type: an ``int`` is an integer
+    but not a boolean, a ``float`` is a float or an ``int`` that converts to
+    one; a tuple type holds conforming entries; a union admits any of its
+    members."""
+    if kind is int:
+        return isinstance(value, Integral) and not isinstance(value, bool)
+    if kind is float:
+        return isinstance(value, float) or (
+            _conforms(value, int) and abs(value) <= sys.float_info.max
+        )
+    args = typing.get_args(kind)
+    if typing.get_origin(kind) is tuple:
+        return isinstance(value, tuple) and all(_conforms(v, args[0]) for v in value)
+    if args:
+        return any(_conforms(value, member) for member in args)
+    return isinstance(value, kind)
+
+
+def _build(cls, data, context: str):
+    """``cls`` from a JSON object whose keys are fields of ``cls`` and whose
+    values fit the fields' declared types; an object for a dataclass field
+    is built the same way."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{context} must be a JSON object")
+    kinds = typing.get_type_hints(cls)
+    unknown = set(data) - set(kinds)
     if unknown:
         raise ConfigError(f"unknown {context} fields: {sorted(unknown)}")
-    return cls(**data)
+    values = {}
+    for name, value in data.items():
+        kind = kinds[name]
+        value = _build(kind, value, name) if is_dataclass(kind) else _frozen(value)
+        if not _conforms(value, kind):
+            shown = kind.__name__ if isinstance(kind, type) else str(kind)
+            raise ConfigError(f"{context} field {name!r} must be {shown}, got {value!r}")
+        values[name] = value
+    try:
+        return cls(**values)
+    except TypeError as exc:  # a required field is missing
+        raise ConfigError(f"{context}: {exc}") from exc
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("scenario config must be a JSON object")
-    data = dict(data)
-    try:
-        target_data = dict(data.pop("target"))
-        trainer_data = dict(data.pop("trainer"))
-    except (KeyError, TypeError) as exc:
-        raise ConfigError("scenario config needs 'target' and 'trainer' objects") from exc
-    for key in ("eigenvalues", "angles", "reflection_coeffs", "entries"):
-        if key in target_data and target_data[key] is not None:
-            target_data[key] = tuple(
-                tuple(row) if isinstance(row, list) else row
-                for row in target_data[key]
-            )
-    target = _build(TargetSpec, target_data, "target")
-    sched_data = dict(trainer_data.pop("schedule", {"mode": "default"}))
-    if "etas" in sched_data and sched_data["etas"] is not None:
-        sched_data["etas"] = tuple(sched_data["etas"])
-    trainer_data["schedule"] = _build(StepSchedule, sched_data, "schedule")
-    trainer = _build(TrainerConfig, trainer_data, "trainer")
-    if "checks" in data and data["checks"] is not None:
-        data["checks"] = tuple(data["checks"])
-    cfg = _build(ScenarioConfig, {**data, "target": target, "trainer": trainer}, "scenario")
+    cfg = _build(ScenarioConfig, data, "scenario config")
     cfg.validate()
     return cfg
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
-    out = asdict(cfg)
-    return out
+    return asdict(cfg)
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -280,29 +304,21 @@ def _fmt(x: float) -> str:
 
 def write_trace_csv(trace: TrainingTrace, path):
     """Fixed-order trace columns; eigenvalue columns appear only when the
-    trace recorded spectra."""
-    path = Path(path)
-    has_spectra = bool(trace.records) and trace.records[0].eigenvalues is not None
+    trace recorded spectra.  A NaN cell (a row without a half-step loss)
+    is written empty."""
     cols = ["t", "loss", "loss_half", "radius_R", "min_sv", "max_norm", "U_t"]
-    if has_spectra:
-        for k in range(trace.d):
+    values = [
+        trace.losses, trace.loss_halves, trace.radii,
+        trace.min_svs, trace.max_norms, trace.u_stats,
+    ]
+    if trace.eigenvalues is not None:
+        for k, eig in enumerate(trace.eigenvalues.T):
             cols += [f"eig{k}_re", f"eig{k}_im"]
+            values += [eig.real, eig.imag]
     lines = [",".join(cols)]
-    for r in trace.records:
-        row = [
-            str(r.t),
-            _fmt(r.loss),
-            "" if r.loss_half is None else _fmt(r.loss_half),
-            _fmt(r.radius),
-            _fmt(r.min_sv),
-            _fmt(r.max_norm),
-            _fmt(r.u_stat),
-        ]
-        if has_spectra:
-            for val in r.eigenvalues:
-                row += [_fmt(val.real), _fmt(val.imag)]
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
+    for t, row in enumerate(zip(*(v.tolist() for v in values))):
+        lines.append(",".join([str(t), *("" if math.isnan(x) else _fmt(x) for x in row)]))
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_matrix_csv(a, path):
@@ -414,7 +430,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
         return report
 
     status = trace.status
-    min_loss = float(np.min(trace.losses())) if trace.records else None
+    rows = len(trace.losses)
+    min_loss = float(np.min(trace.losses)) if rows else None
     if (
         cfg.target.kind == "neg_eig_diag"
         and status == "budget"
@@ -427,8 +444,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
     report = ScenarioReport(
         cfg.scenario_id,
         status,
-        trace.final_loss if trace.records else None,
-        trace.iterations if trace.records else None,
+        trace.final_loss if rows else None,
+        trace.iterations if rows else None,
         checks,
         time.perf_counter() - start,
         margin,
@@ -477,7 +494,7 @@ def sweep(directory, workers: int | None = None) -> list:
         workers = default_workers()
     if workers <= 1:
         return [_run_scenario_path(p) for p in paths]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(paths))) as pool:
         return list(pool.map(_run_scenario_path, paths))
 
 

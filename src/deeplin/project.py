@@ -34,6 +34,14 @@ class IdentityBall:
             raise ValueError("radius must be nonnegative")
 
 
+def gamma_margin(phi) -> float:
+    """Smallest eigenvalue of the symmetric part: the largest gamma for
+    which ``phi`` lies in the gamma-positive set."""
+    phi = as_mat(phi)
+    require_square(phi)
+    return float(np.linalg.eigvalsh(sym(phi))[0])
+
+
 def project_gamma_positive(a, gamma: float) -> np.ndarray:
     """Nearest (Frobenius) matrix whose symmetric part has min-eig >= gamma.
 

@@ -3,7 +3,7 @@
 ``_train`` holds the layers as one ``(L, d, d)`` array, starts from scaled
 identity layers and updates every layer simultaneously from the same
 pre-step iterate.  It owns the loss, the divergence, convergence and budget
-stops, the trace records, the step-size schedule and the gradient step.  A
+stops, the trace rows, the step-size schedule and the gradient step.  A
 step that leaves the layers, or the product the loss is taken from,
 non-finite ends the run as ``diverged`` with the last finite iterate kept.
 The trainers differ only in the update rule and an optional settle step:
@@ -18,8 +18,8 @@ The trainers differ only in the update rule and an optional settle step:
   gamma-positive set and refactored into balanced layers; the next loss is
   taken from the projected product.
 
-Traces record one row per iterate, including t = 0, and are deterministic:
-the loop draws no randomness.
+A trace holds one row per iterate, including t = 0, stored as columns (one
+array per statistic), and is deterministic: the loop draws no randomness.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ import numpy as np
 from . import matcore
 from .errors import ConfigError
 from .factor import balanced_factorization
-from .matcore import as_mat, frob_norm, op_norm, sym
+from .matcore import as_mat, frob_norm, op_norm
 from .network import prefix_suffix_products
-from .project import IdentityBall, project_gamma_positive, project_identity_ball
+from .project import IdentityBall, gamma_margin, project_gamma_positive, project_identity_ball
 
 DIVERGE_LOSS = 1e12
 
@@ -55,7 +55,7 @@ class StepSchedule:
 
     mode: str = "constant"
     eta: float = 0.0
-    etas: tuple = ()
+    etas: tuple[float, ...] = ()
 
     def validate(self, algorithm: str):
         # eta = 0 is a legal no-op step (the kappa = 1 penalty fixed point
@@ -93,7 +93,7 @@ class TrainerConfig:
     algorithm: str
     d: int
     L: int
-    schedule: StepSchedule
+    schedule: StepSchedule = StepSchedule("default")
     gamma: float = 0.0
     psi: float = 0.0
     kappa: float = 0.0
@@ -124,32 +124,30 @@ class TrainerConfig:
             raise ConfigError("kappa must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    t: int
-    loss: float
-    loss_half: float | None
-    radius: float
-    min_sv: float
-    max_norm: float
-    u_stat: float
-    eigenvalues: np.ndarray | None = None
-    layers: tuple | None = None
-
-
 @dataclass
 class TrainingTrace:
-    """One record per iterate plus the step sizes actually used.
+    """One row per iterate, t = 0 included, held as columns, plus the step
+    sizes actually used.
 
-    ``etas[t]`` is the step taken from iterate t to t + 1, so there is one
-    fewer entry than records unless the run diverged mid-step.  ``radius``
-    and ``u_stat`` are running maxima and therefore nondecreasing.
+    ``loss_halves`` is NaN on rows without a half-step loss; ``radii`` and
+    ``u_stats`` are running maxima and therefore nondecreasing.
+    ``eigenvalues`` (rows, d) and ``layers`` (rows, L, d, d) are None when
+    not recorded or when there are no rows.  ``etas[t]`` is the step taken
+    from iterate t to t + 1, so there is one fewer entry than rows unless
+    the run diverged mid-step.
     """
 
     algorithm: str
     d: int
     L: int
-    records: list = field(default_factory=list)
+    losses: np.ndarray
+    loss_halves: np.ndarray
+    radii: np.ndarray
+    min_svs: np.ndarray
+    max_norms: np.ndarray
+    u_stats: np.ndarray
+    eigenvalues: np.ndarray | None = None
+    layers: np.ndarray | None = None
     etas: list = field(default_factory=list)
     status: str = "budget"
     final_layers: tuple = ()
@@ -157,31 +155,11 @@ class TrainingTrace:
 
     @property
     def iterations(self) -> int:
-        return len(self.records) - 1
+        return len(self.losses) - 1
 
     @property
     def final_loss(self) -> float:
-        return self.records[-1].loss
-
-    def losses(self) -> np.ndarray:
-        return np.array([r.loss for r in self.records])
-
-    def loss_halves(self) -> np.ndarray:
-        return np.array(
-            [np.nan if r.loss_half is None else r.loss_half for r in self.records]
-        )
-
-    def radii(self) -> np.ndarray:
-        return np.array([r.radius for r in self.records])
-
-    def min_svs(self) -> np.ndarray:
-        return np.array([r.min_sv for r in self.records])
-
-    def max_norms(self) -> np.ndarray:
-        return np.array([r.max_norm for r in self.records])
-
-    def u_stats(self) -> np.ndarray:
-        return np.array([r.u_stat for r in self.records])
+        return float(self.losses[-1])
 
 
 def step_size_symmetric_target(phi, L: int) -> float:
@@ -192,10 +170,13 @@ def step_size_symmetric_target(phi, L: int) -> float:
 
 def step_size_power_projection(phi, L: int, c: float = 3.0) -> float:
     """Standard constant step for the power projection trainer:
-    1 / (c L d^5 ||phi||_F^2)."""
+    1 / (c L d^5 ||phi||_F^2), undefined for a zero target."""
     phi = as_mat(phi)
     d = phi.shape[0]
-    return 1.0 / (c * L * d**5 * frob_norm(phi) ** 2)
+    scale = c * L * d**5 * frob_norm(phi) ** 2
+    if scale == 0.0:
+        raise ConfigError("the standard power projection step needs a nonzero target")
+    return 1.0 / scale
 
 
 def admissible_step(d: int, L: int, phi_op_sq: float, radius: float, loss_val: float) -> float:
@@ -225,28 +206,37 @@ def _prepare(phi, cfg: TrainerConfig, algorithm: str) -> np.ndarray:
 
 
 class _Recorder:
-    """Per-iterate trace rows and the running radius and norm statistics."""
+    """Per-iterate trace rows and the running radius and norm statistics;
+    ``columns`` turns the rows into the trace's columns once, at the end."""
 
     def __init__(self, phi: np.ndarray, cfg: TrainerConfig):
         self.cfg = cfg
         self.eye = np.eye(cfg.d)
         self.radius = 0.0
         self.u_stat = op_norm(phi) ** (1.0 / cfg.L)
-        self.records: list = []
+        self.rows: list = []
+        self.spectra: list = []
+        self.layers: list = []
 
-    def add(self, t, layers, prod, loss_val, loss_half):
+    def add(self, layers, prod, loss_val, loss_half):
         sv = np.linalg.svd(layers, compute_uv=False)
         dev = np.linalg.svd(layers - self.eye, compute_uv=False)
         min_sv, max_norm = float(sv.min()), float(sv.max())
         self.radius = max(self.radius, float(dev.max()))
         self.u_stat = max(self.u_stat, max_norm)
-        spectrum = None
-        if self.cfg.record_spectra:
-            spectrum = np.sort_complex(np.linalg.eigvals(prod))
-        self.records.append(TraceRecord(
-            t, loss_val, loss_half, self.radius, min_sv, max_norm, self.u_stat,
-            spectrum, tuple(layers) if self.cfg.record_layers else None,
+        self.rows.append((
+            loss_val, np.nan if loss_half is None else loss_half,
+            self.radius, min_sv, max_norm, self.u_stat,
         ))
+        if self.cfg.record_spectra:
+            self.spectra.append(np.sort_complex(np.linalg.eigvals(prod)))
+        if self.cfg.record_layers:
+            self.layers.append(layers)
+
+    def columns(self) -> tuple:
+        """The rows as the trace's columns, in its field order."""
+        stats = np.array(self.rows, dtype=float).reshape(-1, 6).T.copy()
+        return (*stats, *(np.array(c) if c else None for c in (self.spectra, self.layers)))
 
 
 def _step_size(phi: np.ndarray, cfg: TrainerConfig):
@@ -278,7 +268,7 @@ def _train(
     the next iterate, the product its loss is taken from (None for the
     layers' own product), and the half-step loss to record with it.
     ``prod`` plays the same role for the start.  Layers are never modified
-    in place, so records may share them.
+    in place, so the recorder may keep them until the run ends.
     """
     step_size = _step_size(phi, cfg)
     rec = _Recorder(phi, cfg)
@@ -298,7 +288,7 @@ def _train(
         if not np.isfinite(loss_val) or loss_val > DIVERGE_LOSS:
             status = "diverged"
             break
-        rec.add(t, layers, prod, loss_val, loss_half)
+        rec.add(layers, prod, loss_val, loss_half)
         last = layers
         if loss_val <= cfg.epsilon:
             status = "converged"
@@ -314,7 +304,7 @@ def _train(
             break
         layers, prod, loss_half = settle(layers) if settle else (layers, None, None)
     return TrainingTrace(
-        cfg.algorithm, cfg.d, cfg.L, rec.records, etas, status,
+        cfg.algorithm, cfg.d, cfg.L, *rec.columns(), etas, status,
         () if last is None else tuple(last), cfg.gamma,
     )
 
@@ -342,7 +332,7 @@ def run_power_projection(phi, cfg: TrainerConfig) -> TrainingTrace:
     Factorization failures propagate as NumericError with diagnostics.
     """
     phi = _prepare(phi, cfg, "power_projection")
-    margin = float(np.linalg.eigvalsh(sym(phi))[0])
+    margin = gamma_margin(phi)
     if margin < cfg.gamma - 1e-12:
         warnings.warn(
             f"target margin {margin:.6f} is below gamma={cfg.gamma}; the "
@@ -354,10 +344,13 @@ def run_power_projection(phi, cfg: TrainerConfig) -> TrainingTrace:
         pre_h, _ = prefix_suffix_products(half)
         prod_half = pre_h[-1]
         loss_half = 0.5 * float(np.sum((prod_half - phi) ** 2))
-        if not np.all(np.isfinite(prod_half)):
-            # the loop's loss test ends the run on this product
-            return half, prod_half, loss_half
-        projected = project_gamma_positive(prod_half, cfg.gamma)
+        projected = prod_half
+        if np.all(np.isfinite(prod_half)):
+            projected = project_gamma_positive(prod_half, cfg.gamma)
+        if not 0.5 * np.sum((projected - phi) ** 2) <= DIVERGE_LOSS:
+            # the loop's loss test ends the run on this product, which may
+            # be too large to refactor
+            return half, projected, loss_half
         factors = balanced_factorization(projected, cfg.L).factors
         # factors are in product order; layers apply in reversed order
         return np.stack(factors[::-1]), projected, loss_half

@@ -5,6 +5,10 @@ violations; precondition failures yield a skipped report instead of a
 crash.  Bound checks carry a 1e-12 absolute slack on top of the stated
 tolerances.
 
+The trace checkers are array expressions over a trace's columns: each
+computes its excesses for every row at once, counts the rows in violation
+and takes the first row with the largest excess as its witness.
+
 The finite-difference checks evaluate the loss directly from flattened
 parameters and never touch the analytic derivative code, so they are an
 independent oracle for it.
@@ -20,6 +24,7 @@ checked here.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -237,11 +242,22 @@ def check_hessian_upper_bound(net: DeepLinearNet, phi) -> CheckReport:
     )
 
 
-def _product(layers) -> np.ndarray:
-    prod = np.eye(layers[0].shape[0])
-    for m in layers:
-        prod = m @ prod
-    return prod
+# Frobenius norm of each matrix in a stack
+_frobs = partial(np.linalg.norm, axis=(-2, -1))
+
+
+def _symmetric(phi: np.ndarray) -> bool:
+    return frob_norm(phi - phi.T) <= 1e-10 * max(frob_norm(phi), 1.0)
+
+
+def _tally(value: np.ndarray, bad: np.ndarray, witness):
+    """The number of rows in violation, and the witness: ``t`` and
+    ``witness(t)`` for the first row t holding the largest value, or None
+    when no value exceeds -inf."""
+    if not np.any(value > -np.inf):
+        return int(np.count_nonzero(bad)), None
+    t = int(np.argmax(value))
+    return int(np.count_nonzero(bad)), {"t": t, **witness(t)}
 
 
 def check_commuting_normal(trace: TrainingTrace, phi, tol: float = 1e-9) -> CheckReport:
@@ -249,40 +265,30 @@ def check_commuting_normal(trace: TrainingTrace, phi, tol: float = 1e-9) -> Chec
     with the target, and on the gd/penalty paths all layers stay equal.
     Needs layer snapshots in the trace."""
     phi = np.asarray(phi, dtype=float)
-    scale = max(frob_norm(phi), 1.0)
-    if frob_norm(phi - phi.T) > 1e-10 * scale:
+    if not _symmetric(phi):
         return _skipped(
             "commuting_normal", "commuting-normal check requires a symmetric target"
         )
-    if not trace.records or trace.records[0].layers is None:
+    if trace.layers is None:
         return _skipped("commuting_normal", "trace has no layer snapshots")
-    check_equal = trace.algorithm in ("gd", "penalty_gd")
-    violations = 0
-    worst = None
-    worst_val = -1.0
-    for record in trace.records:
-        layers = record.layers
-        prod = _product(layers)
-        comm_scale = max(1.0, frob_norm(prod) * frob_norm(phi))
-        comm = frob_norm(prod @ phi - phi @ prod) / comm_scale
-        spread = 0.0
-        if check_equal:
-            spread = max(frob_norm(m - layers[0]) for m in layers)
-        bad = comm > tol or spread > tol
-        if bad:
-            violations += 1
-        val = max(comm, spread)
-        if val > worst_val:
-            worst_val = val
-            worst = {
-                "t": record.t,
-                "commutator": comm,
-                "layer_spread": spread,
-                "tolerance": tol,
-            }
+    layers = trace.layers
+    prods = layers[:, 0]
+    for k in range(1, trace.L):
+        prods = layers[:, k] @ prods
+    comm_scale = np.maximum(1.0, _frobs(prods) * frob_norm(phi))
+    comm = _frobs(prods @ phi - phi @ prods) / comm_scale
+    spread = np.zeros_like(comm)
+    if trace.algorithm in ("gd", "penalty_gd"):
+        spread = _frobs(layers - layers[:, :1]).max(axis=1)
+    value = np.maximum(comm, spread)
+    violations, worst = _tally(value, value > tol, lambda t: {
+        "commutator": float(comm[t]),
+        "layer_spread": float(spread[t]),
+        "tolerance": tol,
+    })
     return _finish(
-        "commuting_normal", len(trace.records), violations, worst,
-        f"worst deviation {worst_val:.3e}",
+        "commuting_normal", len(value), violations, worst,
+        f"worst deviation {value.max():.3e}",
     )
 
 
@@ -308,80 +314,55 @@ def eigen_recurrence_check(trace: TrainingTrace, phi, tol: float = 1e-9) -> Chec
     match the scalar recurrence simulation, and simulated per-layer values
     must stay bracketed between 1 and the target root (when it is real)."""
     phi = np.asarray(phi, dtype=float)
-    scale = max(frob_norm(phi), 1.0)
-    if frob_norm(phi - phi.T) > 1e-10 * scale:
+    if not _symmetric(phi):
         return _skipped(
             "eigen_recurrence", "eigenvalue recurrence check requires a symmetric target"
         )
-    if not trace.records or trace.records[0].eigenvalues is None:
+    if trace.eigenvalues is None:
         return _skipped("eigen_recurrence", "trace has no recorded spectra")
     L = trace.L
     mu = np.linalg.eigvalsh(sym(phi))
-    sims = simulate_scalar_recurrence(mu, L, trace.etas, len(trace.records) - 1)
-    violations = 0
-    worst = None
-    worst_val = -1.0
-    for record, sim in zip(trace.records, sims):
-        rec_sorted = np.sort_complex(record.eigenvalues)
-        sim_prod = np.sort(sim**L)
-        mismatch = float(np.max(np.abs(rec_sorted - sim_prod)))
-        bracket_bad = False
-        for k in range(len(mu)):
-            if mu[k] > 0.0:
-                lam = mu[k] ** (1.0 / L)
-                lo, hi = min(1.0, lam), max(1.0, lam)
-                if not lo - SLACK <= sim[k] <= hi + SLACK:
-                    bracket_bad = True
-        if mismatch > tol or bracket_bad:
-            violations += 1
-        if mismatch > worst_val:
-            worst_val = mismatch
-            worst = {
-                "t": record.t,
-                "mismatch": mismatch,
-                "bracket_violated": bracket_bad,
-                "tolerance": tol,
-            }
+    sims = simulate_scalar_recurrence(mu, L, trace.etas, len(trace.eigenvalues) - 1)
+    recorded = np.sort_complex(trace.eigenvalues)
+    mismatch = np.max(np.abs(recorded - np.sort(sims**L, axis=1)), axis=1)
+    positive = mu > 0.0
+    lam = np.where(positive, mu, 1.0) ** (1.0 / L)
+    lo, hi = np.minimum(1.0, lam), np.maximum(1.0, lam)
+    inside = (lo - SLACK <= sims) & (sims <= hi + SLACK)
+    bracket_bad = np.any(positive & ~inside, axis=1)
+    violations, worst = _tally(mismatch, (mismatch > tol) | bracket_bad, lambda t: {
+        "mismatch": float(mismatch[t]),
+        "bracket_violated": bool(bracket_bad[t]),
+        "tolerance": tol,
+    })
     return _finish(
-        "eigen_recurrence", len(trace.records), violations, worst,
-        f"worst mismatch {worst_val:.3e}",
+        "eigen_recurrence", len(mismatch), violations, worst,
+        f"worst mismatch {mismatch.max():.3e}",
     )
 
 
 def _gd_recurrences(trace: TrainingTrace, phi: np.ndarray, tol: float) -> CheckReport:
     L, d = trace.L, trace.d
     phi_op_sq = op_norm(phi) ** 2
-    losses = trace.losses()
-    radii = trace.radii()
-    steps = min(len(trace.records) - 1, len(trace.etas))
-    violations = 0
-    worst = None
-    worst_val = -np.inf
-    for t in range(steps):
-        eta = trace.etas[t]
-        # radius growth
-        r_bound = radii[t] + eta * (1.0 + radii[t]) ** L * np.sqrt(2.0 * losses[t])
-        r_excess = radii[t + 1] - r_bound - tol
-        # conditional loss contraction
-        admissible = eta <= 1.0 / (
-            3.0 * L * d**5 * max((1.0 + radii[t + 1]) ** (2 * L), phi_op_sq)
-        )
-        l_excess = -np.inf
-        if admissible:
-            factor = 1.0 - eta * L * (1.0 - radii[t]) ** (2 * L)
-            l_excess = losses[t + 1] - factor * losses[t] - tol
-        bad = r_excess > 0.0 or l_excess > 0.0
-        if bad:
-            violations += 1
-        val = max(r_excess, l_excess)
-        if val > worst_val:
-            worst_val = val
-            worst = {
-                "t": t,
-                "radius_excess": float(r_excess),
-                "loss_excess": float(l_excess) if np.isfinite(l_excess) else None,
-                "eta": eta,
-            }
+    steps = min(len(trace.losses) - 1, len(trace.etas))
+    eta = np.array(trace.etas[:steps], dtype=float)
+    loss, loss_next = trace.losses[:steps], trace.losses[1 : steps + 1]
+    radius, radius_next = trace.radii[:steps], trace.radii[1 : steps + 1]
+    # radius growth
+    r_bound = radius + eta * (1.0 + radius) ** L * np.sqrt(2.0 * loss)
+    r_excess = radius_next - r_bound - tol
+    # conditional loss contraction
+    admissible = eta <= 1.0 / (
+        3.0 * L * d**5 * np.maximum((1.0 + radius_next) ** (2 * L), phi_op_sq)
+    )
+    factor = 1.0 - eta * L * (1.0 - radius) ** (2 * L)
+    l_excess = np.where(admissible, loss_next - factor * loss - tol, -np.inf)
+    value = np.maximum(r_excess, l_excess)
+    violations, worst = _tally(value, value > 0.0, lambda t: {
+        "radius_excess": float(r_excess[t]),
+        "loss_excess": float(l_excess[t]) if np.isfinite(l_excess[t]) else None,
+        "eta": trace.etas[t],
+    })
     return _finish(
         "trace_recurrence", steps, violations, worst,
         "radius growth and conditional loss contraction",
@@ -389,37 +370,31 @@ def _gd_recurrences(trace: TrainingTrace, phi: np.ndarray, tol: float) -> CheckR
 
 
 def _power_recurrences(trace: TrainingTrace, phi: np.ndarray, tol: float) -> CheckReport:
-    L = trace.L
-    gamma = trace.gamma
-    losses = trace.losses()
-    halves = trace.loss_halves()
-    min_svs = trace.min_svs()
-    u_stats = trace.u_stats()
-    phi_fro = frob_norm(phi)
-    sv_floor = gamma ** (1.0 / L) - 1e-9
-    steps = min(len(trace.records) - 1, len(trace.etas))
-    violations = 0
-    worst = None
-    worst_val = -np.inf
-    for t in range(len(trace.records)):
-        excesses = {}
-        if t > 0 and t <= steps:
-            eta = trace.etas[t - 1]
-            factor = 1.0 - eta * L * gamma**2
-            excesses["projection_vs_half"] = losses[t] - halves[t] - tol
-            excesses["half_vs_contraction"] = halves[t] - factor * losses[t - 1] - tol
-        excesses["min_sv_floor"] = sv_floor - min_svs[t]
-        u_bound = (np.sqrt(2.0 * losses[t]) + phi_fro) ** (1.0 / L) + 1e-9
-        excesses["u_bound"] = u_stats[t] - u_bound
-        bad = any(v > 0.0 for v in excesses.values())
-        if bad:
-            violations += 1
-        val = max(excesses.values())
-        if val > worst_val:
-            worst_val = val
-            worst = {"t": t, **{k: float(v) for k, v in excesses.items()}}
+    L, gamma = trace.L, trace.gamma
+    losses, halves = trace.losses, trace.loss_halves
+    rows = len(losses)
+    steps = min(rows - 1, len(trace.etas))
+    # the contraction chain holds from row 1 to row ``steps``
+    chain = slice(1, steps + 1)
+    factor = 1.0 - np.array(trace.etas[:steps], dtype=float) * L * gamma**2
+    excesses = {
+        "projection_vs_half": np.full(rows, -np.inf),
+        "half_vs_contraction": np.full(rows, -np.inf),
+        "min_sv_floor": gamma ** (1.0 / L) - 1e-9 - trace.min_svs,
+        "u_bound": trace.u_stats
+        - ((np.sqrt(2.0 * losses) + frob_norm(phi)) ** (1.0 / L) + 1e-9),
+    }
+    excesses["projection_vs_half"][chain] = losses[chain] - halves[chain] - tol
+    excesses["half_vs_contraction"][chain] = (
+        halves[chain] - factor * losses[:steps] - tol
+    )
+    value = np.max(list(excesses.values()), axis=0)
+    # the witness shows the chain terms only on rows where the chain holds
+    violations, worst = _tally(value, value > 0.0, lambda t: {
+        k: float(v[t]) for k, v in excesses.items() if 1 <= t <= steps or v[t] > -np.inf
+    })
     return _finish(
-        "trace_recurrence", len(trace.records), violations, worst,
+        "trace_recurrence", rows, violations, worst,
         "contraction chain, singular value floor, norm growth cap",
     )
 
@@ -438,7 +413,7 @@ def trace_recurrence_check(trace: TrainingTrace, phi, tol: float = SLACK) -> Che
     Other algorithms carry no per-step guarantee and yield a skipped report.
     """
     phi = np.asarray(phi, dtype=float)
-    if len(trace.records) < 1:
+    if len(trace.losses) == 0:
         return _skipped("trace_recurrence", "empty trace")
     if trace.algorithm == "gd":
         return _gd_recurrences(trace, phi, tol)

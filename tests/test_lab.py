@@ -1,14 +1,18 @@
 """Targets, scenario configs, artifacts, sweep, and the CLI surface."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deeplin import cli, lab
 from deeplin.errors import ConfigError
 from deeplin.lab import (
     ScenarioConfig,
+    ScenarioReport,
     TargetSpec,
     default_workers,
     gamma_margin,
@@ -23,7 +27,7 @@ from deeplin.lab import (
     write_matrix_csv,
     write_trace_csv,
 )
-from deeplin.trainers import StepSchedule, TrainerConfig, run_gd
+from deeplin.trainers import StepSchedule, TrainerConfig, run_gd, run_power_projection
 
 
 def test_spd_target():
@@ -194,9 +198,30 @@ def test_trace_csv_without_spectra(tmp_path):
     write_trace_csv(trace, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,loss,loss_half,radius_R,min_sv,max_norm,U_t"
-    assert len(lines) == len(trace.records) + 1
+    assert len(lines) == len(trace.losses) + 1
     # loss_half column stays empty for gd
     assert lines[1].split(",")[2] == ""
+
+
+def test_trace_csv_round_trip(tmp_path):
+    cfg = TrainerConfig(
+        "power_projection", 2, 2, StepSchedule("default"), gamma=0.5,
+        max_iters=6, record_spectra=True,
+    )
+    trace = run_power_projection(np.array([[2.0, 0.3], [-0.4, 1.5]]), cfg)
+    path = tmp_path / "t.csv"
+    write_trace_csv(trace, path)
+    table = np.loadtxt(
+        path, delimiter=",", skiprows=1, converters=lambda s: float(s or "nan")
+    )
+    np.testing.assert_array_equal(table[:, 0], np.arange(len(trace.losses)))
+    columns = [trace.losses, trace.loss_halves, trace.radii, trace.min_svs,
+               trace.max_norms, trace.u_stats]
+    for k in range(2):
+        columns += [trace.eigenvalues[:, k].real, trace.eigenvalues[:, k].imag]
+    np.testing.assert_array_equal(table[:, 1:], np.stack(columns, axis=1))
+    # only the start has no half-step loss; its cell is empty
+    assert np.isnan(table[0, 2]) and not np.isnan(table[1:, 2]).any()
 
 
 def test_floor_confirmed_status():
@@ -224,7 +249,7 @@ def test_eigen_recurrence_check_skips_without_spectra():
 
 def test_no_finite_iterate_skips_network_checks(tmp_path):
     # the initial loss is above the divergence threshold, so the trace has
-    # no records and no final network to check
+    # no rows and no final network to check
     data = demo_config(tmp_path)
     data["target"] = {"kind": "explicit", "d": 1, "entries": [[1e7]]}
     data["trainer"] = {
@@ -251,6 +276,22 @@ def test_power_projection_overflowing_half_step_diverges(tmp_path):
         "schedule": {"mode": "constant", "eta": 1e6}, "max_iters": 10,
     }
     data["checks"] = ["fd_gradient", "trace_recurrence"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = run_scenario(scenario_from_dict(data))
+    assert report.status == "diverged"
+    assert report.iterations == 0
+    assert all(c.status == "pass" for c in report.checks)
+
+
+def test_power_projection_unfactorable_half_step_diverges():
+    # one layer: the half-step product is finite but near the float limit,
+    # too large to refactor
+    data = demo_config(checks=["fd_gradient", "trace_recurrence"])
+    data["target"] = {"kind": "spd", "d": 2, "eigenvalues": [1.5, 1.5], "seed": 1}
+    data["trainer"] = {
+        "algorithm": "power_projection", "d": 2, "L": 1, "gamma": 0.5,
+        "schedule": {"mode": "constant", "eta": 1e308}, "max_iters": 10,
+    }
     with np.errstate(over="ignore", invalid="ignore"):
         report = run_scenario(scenario_from_dict(data))
     assert report.status == "diverged"
@@ -403,6 +444,156 @@ def test_sweep_reports_config_error_and_continues(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "bad: status=config-error" in out
     assert "1/2 scenarios clean" in out
+
+
+MISTYPED = [
+    pytest.param(("trainer", "max_iters"), 5.5, id="max_iters-float"),
+    pytest.param(("trainer", "d"), 2.0, id="trainer-d-float"),
+    pytest.param(("target", "d"), 2.0, id="target-d-float"),
+    pytest.param(("trainer", "L"), "3", id="L-string"),
+    pytest.param(("trainer", "schedule", "eta"), "0.1", id="eta-string"),
+    pytest.param(("target", "eigenvalues"), 3, id="eigenvalues-number"),
+    pytest.param(("target", "seed"), 1.5, id="seed-float"),
+    pytest.param(("target", "seed"), -1, id="seed-negative"),
+    pytest.param(("target", "eigenvalues"), [0.5, 10**400], id="eigenvalue-too-large"),
+    pytest.param(("trainer", "schedule", "eta"), 10**400, id="eta-too-large"),
+]
+
+
+@pytest.mark.parametrize("keys, value", MISTYPED)
+def test_mistyped_config_is_a_config_error(tmp_path, keys, value):
+    bad = demo_config(scenario_id="bad", checks=[])
+    node = bad
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    with pytest.raises(ConfigError):
+        run_scenario(scenario_from_dict(bad))
+    (tmp_path / "bad.json").write_text(json.dumps(bad))
+    (tmp_path / "good.json").write_text(json.dumps(demo_config(scenario_id="good", checks=[])))
+    assert cli.main(["run", str(tmp_path / "bad.json")]) == 2
+    reports = sweep(tmp_path, workers=1)
+    assert [(r.scenario_id, r.status) for r in reports] == [
+        ("bad", "config-error"), ("good", "converged"),
+    ]
+
+
+EXTREME = st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e308, -1.0])
+@pytest.mark.parametrize("target, trainer", [
+    pytest.param({"kind": "rotation", "d": 2, "angles": [0.5], "scale": float("inf")},
+                 {}, id="infinite-target"),
+    pytest.param({"kind": "explicit", "d": 2, "entries": [[1e308, 0.0], [0.0, 1.0]]},
+                 {"schedule": {"mode": "admissible"}}, id="huge-target"),
+    pytest.param({"kind": "explicit", "d": 2, "entries": [[0.0, 0.0], [0.0, 0.0]]},
+                 {"algorithm": "power_projection", "gamma": 0.5,
+                  "schedule": {"mode": "default"}}, id="zero-target-default-step"),
+])
+def test_unrunnable_target_is_a_config_error(target, trainer):
+    data = demo_config(checks=[])
+    data["target"] = target
+    data["trainer"].update(trainer)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ConfigError):
+            run_scenario(scenario_from_dict(data))
+
+
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 20), st.floats(), st.text(max_size=3), EXTREME,
+    st.lists(st.floats(-3.0, 3.0), max_size=3),
+    st.lists(st.lists(st.floats(-3.0, 3.0), max_size=3), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.none()),
+)
+
+
+def number(lo, hi):
+    """Mostly a float in [lo, hi], one draw in five an extreme value."""
+    inside = st.floats(lo, hi)
+    return st.one_of(inside, inside, inside, inside, EXTREME)
+
+
+@st.composite
+def scenario_dicts(draw):
+    """Small scenarios of every target kind and trainer, with extreme
+    numbers and up to three fields mistyped or missing."""
+    d = draw(st.integers(1, 3))
+    row = st.lists(number(-2.0, 2.0), min_size=d, max_size=d)
+    data = {
+        "schema": 1,
+        "scenario_id": "drawn",
+        "target": {
+            "kind": draw(st.sampled_from(lab.TARGET_KINDS)), "d": d,
+            "eigenvalues": draw(st.lists(number(0.1, 3.0), min_size=d, max_size=d)),
+            "angles": draw(st.lists(number(-3.0, 3.0), max_size=1)),
+            "scale": draw(number(0.1, 1.5)),
+            "reflection_coeffs": [draw(number(1.0, 1.5)), draw(number(-0.9, 0.9))],
+            "lam": draw(number(0.1, 1.5)), "excess_loss": draw(number(0.0, 1.0)),
+            "entries": draw(st.lists(row, min_size=d, max_size=d)),
+            "seed": draw(st.integers(0, 3)),
+        },
+        "trainer": {
+            "algorithm": draw(st.sampled_from(sorted(lab.RUNNERS))), "d": d,
+            "L": draw(st.integers(1, 4)),
+            "schedule": {
+                "mode": draw(st.sampled_from(["constant", "sequence", "admissible", "default"])),
+                "eta": draw(number(0.0, 0.5)),
+                "etas": draw(st.lists(number(0.0, 0.5), max_size=3)),
+            },
+            "gamma": draw(number(0.1, 1.5)), "psi": draw(number(0.0, 1.0)),
+            "kappa": draw(number(0.0, 1.0)), "epsilon": draw(number(0.0, 1e-3)),
+            "max_iters": draw(st.integers(0, 5)),
+            "record_spectra": draw(st.booleans()), "record_layers": draw(st.booleans()),
+            "penalty_canonical": draw(st.booleans()),
+        },
+        "checks": draw(st.lists(st.sampled_from(lab.CHECK_NAMES), unique=True)),
+    }
+    nodes = [data, data["target"], data["trainer"], data["trainer"]["schedule"]]
+    for _ in range(draw(st.integers(0, 3))):
+        node = draw(st.sampled_from(nodes))
+        key = draw(st.sampled_from(sorted(node)))
+        if draw(st.booleans()):
+            node.pop(key)
+        else:
+            node[key] = draw(JUNK)
+    return data
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenario_dicts())
+def test_drawn_config_ends_in_report_or_config_error(data):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            report = run_scenario(scenario_from_dict(data))
+        except ConfigError:
+            return
+    assert isinstance(report, ScenarioReport)
+
+
+def test_sweep_starts_no_more_workers_than_configs(tmp_path, monkeypatch):
+    seen = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(lab, "ProcessPoolExecutor", SerialPool)
+    for k in range(2):
+        (tmp_path / f"s{k}.json").write_text(
+            json.dumps(demo_config(scenario_id=f"s{k}", checks=[]))
+        )
+    reports = sweep(tmp_path, workers=10**6)
+    assert seen == [2]
+    assert [r.status for r in reports] == ["converged", "converged"]
 
 
 def test_cli_factor_and_numeric_exit(tmp_path, capsys):

@@ -42,12 +42,12 @@ def test_gd_scalar_hand_steps():
     assert trace.status == "budget"
     assert trace.iterations == 2
     assert trace.etas == [0.1, 0.1]
-    losses = trace.losses()
+    losses = trace.losses
     assert losses[0] == 0.5
     assert losses[1] == pytest.approx(0.5 * 0.79**2, abs=1e-15)
-    l1 = trace.records[1].layers
+    l1 = trace.layers[1]
     assert l1[0][0, 0] == 1.1 and l1[1][0, 0] == 1.1
-    l2 = trace.records[2].layers
+    l2 = trace.layers[2]
     assert l2[0][0, 0] == pytest.approx(1.1869, abs=1e-12)
     assert l2[1][0, 0] == pytest.approx(1.1869, abs=1e-12)
 
@@ -56,8 +56,8 @@ def test_gd_updates_are_simultaneous():
     # a sequential sweep would put layer 2 at 1.099 after one step and near
     # 1.0176 after two; the simultaneous update keeps the layers identical
     trace = run_gd(np.array([[2.0]]), scalar_cfg())
-    for record in trace.records[1:]:
-        assert record.layers[0][0, 0] == record.layers[1][0, 0]
+    for layers in trace.layers[1:]:
+        assert layers[0][0, 0] == layers[1][0, 0]
 
 
 def test_gd_step_matches_per_layer_gradient():
@@ -68,9 +68,9 @@ def test_gd_step_matches_per_layer_gradient():
         "gd", 3, 4, StepSchedule("constant", 0.02), max_iters=3, record_layers=True
     )
     trace = run_gd(phi, cfg)
-    for before, after in zip(trace.records, trace.records[1:]):
-        grads = full_gradient(DeepLinearNet(before.layers), phi).layers
-        for m, g, m_next in zip(before.layers, grads, after.layers):
+    for before, after in zip(trace.layers, trace.layers[1:]):
+        grads = full_gradient(DeepLinearNet(tuple(before)), phi).layers
+        for m, g, m_next in zip(before, grads, after):
             np.testing.assert_array_equal(m_next, m - 0.02 * g)
 
 
@@ -92,8 +92,8 @@ def test_gd_divergence_keeps_last_finite_iterate():
     trace = run_gd(np.array([[3.0]]), cfg)
     assert trace.status == "diverged"
     assert all(np.isfinite(m).all() for m in trace.final_layers)
-    assert trace.records[-1].loss <= DIVERGE_LOSS
-    assert np.isfinite(trace.losses()).all()
+    assert trace.losses[-1] <= DIVERGE_LOSS
+    assert np.isfinite(trace.losses).all()
 
 
 DIVERGING = [
@@ -129,8 +129,8 @@ def test_divergence_keeps_last_finite_iterate(algorithm, extra, eta):
         trace = RUNNERS[algorithm](np.array([[3.0]]), cfg)
     assert trace.status == "diverged"
     assert all(np.isfinite(m).all() for m in trace.final_layers)
-    assert trace.records[-1].loss <= DIVERGE_LOSS
-    assert len(trace.etas) == len(trace.records)
+    assert trace.losses[-1] <= DIVERGE_LOSS
+    assert len(trace.etas) == len(trace.losses)
 
 
 def test_sequence_schedule_repeats_last_step():
@@ -151,7 +151,7 @@ def test_admissible_schedule_bounds_and_descends():
     trace = run_gd(phi, cfg)
     cap = 1.0 / (3.0 * 3 * 2**5)
     assert all(0.0 < e <= cap for e in trace.etas)
-    losses = trace.losses()
+    losses = trace.losses
     assert np.all(np.diff(losses) <= 1e-15)
 
 
@@ -164,9 +164,9 @@ def test_admissible_step_shrinks_with_radius():
 def test_trace_monotone_statistics():
     cfg = scalar_cfg(max_iters=30)
     trace = run_gd(np.array([[2.0]]), cfg)
-    assert np.all(np.diff(trace.radii()) >= 0.0)
-    assert np.all(np.diff(trace.u_stats()) >= 0.0)
-    assert trace.iterations == len(trace.records) - 1
+    assert np.all(np.diff(trace.radii) >= 0.0)
+    assert np.all(np.diff(trace.u_stats) >= 0.0)
+    assert trace.iterations == len(trace.losses) - 1
     assert len(trace.etas) == trace.iterations
 
 
@@ -216,14 +216,14 @@ def test_power_projection_respects_floor_and_half_losses():
     trace = run_power_projection(2.0 * np.eye(2), cfg)
     assert trace.status == "budget"
     root = 0.5 ** 0.5
-    assert np.all(trace.min_svs() >= root - 1e-9)
-    assert trace.records[0].loss_half is None
-    assert all(r.loss_half is not None for r in trace.records[1:])
-    losses = trace.losses()
+    assert np.all(trace.min_svs >= root - 1e-9)
+    assert np.isnan(trace.loss_halves[0])
+    assert not np.isnan(trace.loss_halves[1:]).any()
+    losses = trace.losses
     assert np.all(np.diff(losses) <= 1e-15)
     # integer-step loss cannot exceed the preceding half-step loss, since
     # the projection target is feasible here
-    halves = trace.loss_halves()
+    halves = trace.loss_halves
     assert np.all(losses[1:] <= halves[1:] + 1e-12)
 
 
@@ -253,9 +253,9 @@ def test_step_and_project_stays_in_ball():
     )
     trace = run_step_and_project(np.diag([2.0, 0.5]), cfg)
     assert trace.status == "budget"
-    assert np.all(trace.radii() <= 0.3 + 1e-12)
-    for record in trace.records:
-        for m in record.layers:
+    assert np.all(trace.radii <= 0.3 + 1e-12)
+    for layers in trace.layers:
+        for m in layers:
             dev = np.linalg.svd(m - np.eye(2), compute_uv=False)[0]
             assert dev <= 0.3 + 1e-12
 
@@ -268,10 +268,10 @@ def test_step_and_project_zero_radius_pins_identity():
     )
     trace = run_step_and_project(np.diag([2.0, 0.0]), cfg)
     assert trace.status == "budget"
-    assert len(trace.records) == 6
-    np.testing.assert_allclose(trace.losses(), 1.0, atol=0)
-    for record in trace.records:
-        for m in record.layers:
+    assert len(trace.losses) == 6
+    np.testing.assert_allclose(trace.losses, 1.0, atol=0)
+    for layers in trace.layers:
+        for m in layers:
             np.testing.assert_array_equal(m, np.eye(2))
 
 
@@ -283,9 +283,9 @@ def test_penalty_gd_full_pull_zero_step():
     )
     trace = run_penalty_gd(np.diag([3.0, 1.0]), cfg)
     assert trace.status == "budget"
-    np.testing.assert_allclose(trace.losses(), 2.0, atol=0)
-    for record in trace.records:
-        for m in record.layers:
+    np.testing.assert_allclose(trace.losses, 2.0, atol=0)
+    for layers in trace.layers:
+        for m in layers:
             np.testing.assert_array_equal(m, np.eye(2))
 
 
@@ -301,7 +301,7 @@ def test_even_depth_negative_eigenvalue_floor_small():
         kappa=0.05, max_iters=300,
     )
     for trace in (run_gd(phi, gd_cfg), run_penalty_gd(phi, pen_cfg)):
-        assert trace.losses().min() >= 0.32 - 1e-12
+        assert trace.losses.min() >= 0.32 - 1e-12
 
 
 def test_penalty_gd_two_update_forms():
@@ -317,11 +317,11 @@ def test_penalty_gd_two_update_forms():
         phi, TrainerConfig("penalty_gd", penalty_canonical=False, **common)
     )
     # both forms agree at the first step from identity layers
-    assert canonical.records[1].layers[0][0, 0] == pytest.approx(1.1, abs=1e-15)
-    assert alternate.records[1].layers[0][0, 0] == pytest.approx(1.1, abs=1e-15)
+    assert canonical.layers[1][0][0, 0] == pytest.approx(1.1, abs=1e-15)
+    assert alternate.layers[1][0][0, 0] == pytest.approx(1.1, abs=1e-15)
     # and separate at the second
-    assert canonical.records[2].layers[0][0, 0] == pytest.approx(1.1369, abs=1e-12)
-    assert alternate.records[2].layers[0][0, 0] == pytest.approx(1.1819, abs=1e-12)
+    assert canonical.layers[2][0][0, 0] == pytest.approx(1.1369, abs=1e-12)
+    assert alternate.layers[2][0][0, 0] == pytest.approx(1.1819, abs=1e-12)
 
 
 def test_penalty_gd_kappa_one_restarts_from_identity():
@@ -334,9 +334,9 @@ def test_penalty_gd_kappa_one_restarts_from_identity():
     )
     trace = run_penalty_gd(phi, cfg)
     theta = 1.0
-    for record in trace.records[1:]:
+    for layers in trace.layers[1:]:
         expected = 1.0 - 0.1 * theta * (theta**2 - 2.0)
-        theta = record.layers[0][0, 0]
+        theta = layers[0][0, 0]
         assert theta == pytest.approx(expected, abs=1e-14)
 
 
@@ -346,8 +346,6 @@ def test_spectra_recording():
         max_iters=5, record_spectra=True,
     )
     trace = run_gd(np.diag([2.0, 0.5]), cfg)
-    for record in trace.records:
-        assert record.eigenvalues is not None
-        assert record.eigenvalues.shape == (2,)
+    assert trace.eigenvalues.shape == (len(trace.losses), 2)
     # diagonal dynamics keep the spectrum real
-    assert np.abs(np.imag(trace.records[-1].eigenvalues)).max() == 0.0
+    assert np.abs(np.imag(trace.eigenvalues[-1])).max() == 0.0

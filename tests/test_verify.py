@@ -2,7 +2,6 @@
 
 import json
 import types
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -149,7 +148,7 @@ def test_commuting_normal_catches_doctored_layers():
         np.eye(2),
         np.eye(2),
     )
-    trace.records[2] = replace(trace.records[2], layers=bad_layers)
+    trace.layers[2] = bad_layers
     report = check_commuting_normal(trace, phi)
     assert report.violations >= 1
     assert not report.passed
@@ -172,8 +171,7 @@ def test_eigen_recurrence_pass_and_requirements():
 
 def test_eigen_recurrence_catches_doctored_spectrum():
     trace, phi = spd_trace()
-    bad = trace.records[3].eigenvalues + 1e-6
-    trace.records[3] = replace(trace.records[3], eigenvalues=bad)
+    trace.eigenvalues[3] += 1e-6
     report = eigen_recurrence_check(trace, phi)
     assert report.violations >= 1
 
@@ -193,7 +191,7 @@ def test_trace_recurrence_gd_pass():
 
 def test_trace_recurrence_gd_catches_doctored_loss():
     trace, phi = scalar_gd_trace()
-    trace.records[1] = replace(trace.records[1], loss=trace.records[1].loss * 1.2)
+    trace.losses[1] *= 1.2
     report = trace_recurrence_check(trace, phi)
     assert report.violations >= 1
     assert report.worst["loss_excess"] > 0.0
@@ -201,7 +199,7 @@ def test_trace_recurrence_gd_catches_doctored_loss():
 
 def test_trace_recurrence_gd_catches_doctored_radius():
     trace, phi = scalar_gd_trace()
-    trace.records[2] = replace(trace.records[2], radius=5.0)
+    trace.radii[2] = 5.0
     report = trace_recurrence_check(trace, phi)
     assert report.violations >= 1
 
@@ -223,7 +221,7 @@ def test_trace_recurrence_power_pass():
 
 def test_trace_recurrence_power_catches_floor_breach():
     trace, phi = power_trace()
-    trace.records[4] = replace(trace.records[4], min_sv=0.1)
+    trace.min_svs[4] = 0.1
     report = trace_recurrence_check(trace, phi)
     assert report.violations >= 1
     assert report.worst["min_sv_floor"] > 0.0
@@ -231,9 +229,17 @@ def test_trace_recurrence_power_catches_floor_breach():
 
 def test_trace_recurrence_power_catches_norm_cap_breach():
     trace, phi = power_trace()
-    trace.records[5] = replace(trace.records[5], u_stat=10.0)
+    trace.u_stats[5] = 10.0
     report = trace_recurrence_check(trace, phi)
     assert report.violations >= 1
+
+
+def test_trace_recurrence_witness_is_first_of_equal_excesses():
+    trace, phi = power_trace()
+    trace.min_svs[[3, 6]] = 0.1
+    report = trace_recurrence_check(trace, phi)
+    assert report.violations == 2
+    assert report.worst["t"] == 3
 
 
 def test_trace_recurrence_skips_unsupported_algorithm():
