@@ -15,6 +15,7 @@ The symmetric root comes from an eigendecomposition with a positivity floor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 import scipy.linalg
@@ -40,7 +41,8 @@ class PolarParts:
 
 @dataclass(frozen=True)
 class FactorizationResult:
-    """Factors in product order (factors[0] leftmost) plus residuals.
+    """Factors as one (L, d, d) stack in product order (factors[0]
+    leftmost) plus residuals.
 
     ``reconstruction_residual`` is relative to the input's Frobenius norm;
     ``balance_residual`` is the largest absolute deviation of any factor's
@@ -144,8 +146,8 @@ def balanced_factorization(a, L: int) -> FactorizationResult:
 
     With a = r p polar, factor i is ``r1 @ (rk @ p1 @ rk.T)`` where r1, p1
     are the principal L-th roots and rk = r1 ** (L - i); the conjugations
-    cancel in the product.  Factors are returned in product order, so
-    ``factors[0] @ ... @ factors[-1]`` reconstructs ``a``.
+    cancel in the product.  Factors are returned as one stack in product
+    order, so ``factors[0] @ ... @ factors[-1]`` reconstructs ``a``.
     """
     a = as_mat(a)
     require_square(a)
@@ -155,27 +157,21 @@ def balanced_factorization(a, L: int) -> FactorizationResult:
     r_root = principal_root_orthogonal(parts.r, L)
     p_root = principal_root_spd(parts.p, L)
 
-    powers = [np.eye(a.shape[0])]
-    for _ in range(L - 1):
-        powers.append(powers[-1] @ r_root)
-    factors = []
-    for i in range(1, L + 1):
-        rk = powers[L - i]
-        factors.append(r_root @ rk @ p_root @ rk.T)
+    powers = np.empty((L,) + a.shape)
+    powers[0] = np.eye(a.shape[0])
+    for k in range(1, L):
+        np.matmul(powers[k - 1], r_root, out=powers[k])
+    # factor i conjugates by r_root ** (L - i)
+    rk = powers[::-1]
+    factors = r_root @ rk @ p_root @ rk.transpose(0, 2, 1)
 
-    prod = factors[0]
-    for f in factors[1:]:
-        prod = prod @ f
-    scale = max(frob_norm(a), 1.0)
-    recon = frob_norm(prod - a) / scale
+    recon = frob_norm(reduce(np.matmul, factors) - a) / max(frob_norm(a), 1.0)
     target_sv = singular_values(a) ** (1.0 / L)
-    balance = max(
-        float(np.max(np.abs(singular_values(f) - target_sv))) for f in factors
-    )
+    balance = float(np.max(np.abs(singular_values(factors) - target_sv)))
     if recon > RECON_TOL:
         raise NumericError(
             f"balanced factorization failed to reconstruct the input "
             f"(relative residual {recon:.3e}, d={a.shape[0]}, L={L}, "
             f"cond~{cond_estimate(a):.3e})"
         )
-    return FactorizationResult(tuple(factors), recon, balance)
+    return FactorizationResult(factors, recon, balance)

@@ -24,7 +24,7 @@ MAX_HESSIAN_SIDE = 4096
 ABS_FLOOR = 1e-12
 
 
-def as_mat(a, name: str = "matrix", max_dim: int = MAX_DIM) -> np.ndarray:
+def as_mat(a, name: str = "matrix") -> np.ndarray:
     """Validate ``a`` as a dense 2-D float64 matrix and return it.
 
     Rejects non-2D input, non-finite entries, and dimensions beyond the
@@ -33,9 +33,9 @@ def as_mat(a, name: str = "matrix", max_dim: int = MAX_DIM) -> np.ndarray:
     out = np.asarray(a, dtype=float)
     if out.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {out.shape}")
-    if out.shape[0] > max_dim or out.shape[1] > max_dim:
+    if out.shape[0] > MAX_DIM or out.shape[1] > MAX_DIM:
         raise ValueError(
-            f"{name} has shape {out.shape}, beyond the configured bound {max_dim}"
+            f"{name} has shape {out.shape}, beyond the configured bound {MAX_DIM}"
         )
     if not np.all(np.isfinite(out)):
         raise ValueError(f"{name} has non-finite entries")
@@ -77,7 +77,7 @@ def cond_estimate(a) -> float:
 
 
 def singular_values(a) -> np.ndarray:
-    """Singular values in descending order."""
+    """Singular values in descending order, one row per matrix of a stack."""
     a = np.asarray(a, dtype=float)
     try:
         return np.linalg.svd(a, compute_uv=False)
@@ -90,8 +90,3 @@ def singular_values(a) -> np.ndarray:
 def op_norm(a) -> float:
     """Spectral (operator 2-) norm."""
     return float(singular_values(a)[0])
-
-
-def sigma_min(a) -> float:
-    """Smallest singular value."""
-    return float(singular_values(a)[-1])

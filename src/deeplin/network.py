@@ -1,13 +1,14 @@
 """Deep linear model with square layers and the population quadratic loss.
 
-The model applies layer 1 first, so the end-to-end map is the reversed
-matrix product ``layers[L-1] @ ... @ layers[0]``.  Layer indices in the
-formulas below are 1-based; P[k] and S[k] are the prefix and suffix
-products of ``prefix_suffix_products``.
+Layers are one read-only (L, d, d) float64 stack, and the gradient is a
+stack of the same shape.  The model applies layer 1 first, so the
+end-to-end map is the reversed matrix product ``layers[L-1] @ ... @
+layers[0]``.  Layer indices in the formulas below are 1-based; P[k] and
+S[k] are the prefix and suffix products of ``prefix_suffix_products``.
 
 The loss is ``0.5 * ||product - target||_F^2``.  Derivative formulas below
-are exact for this convention; the flattening used throughout is layer-major
-and column-major inside each layer.
+are exact for this convention; the second-derivative matrix flattens the
+layers layer-major and column-major inside each layer.
 """
 
 from __future__ import annotations
@@ -16,76 +17,61 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matcore
-from .matcore import as_mat, require_square
+from .matcore import MAX_DIM, MAX_HESSIAN_SIDE, MAX_LAYERS, as_mat
 
 
 @dataclass(frozen=True)
 class DeepLinearNet:
-    """Tuple of L square layers of a common dimension d."""
+    """L square layers of a common dimension d, held as one read-only
+    (L, d, d) float64 array that the net owns.  Any array-like of that
+    shape is accepted, a tuple of matrices included, and copied."""
 
-    layers: tuple
+    layers: np.ndarray
 
     def __post_init__(self):
-        if len(self.layers) == 0:
-            raise ValueError("need at least one layer")
-        if len(self.layers) > matcore.MAX_LAYERS:
+        # ragged layers raise ValueError here
+        layers = np.array(self.layers, dtype=float)
+        if layers.ndim != 3 or len(layers) == 0:
             raise ValueError(
-                f"{len(self.layers)} layers exceeds the bound {matcore.MAX_LAYERS}"
+                f"need a nonempty (L, d, d) stack of layers, got shape {layers.shape}"
             )
-        validated = []
-        d = None
-        for k, layer in enumerate(self.layers):
-            m = as_mat(layer, name=f"layer {k + 1}")
-            dk = require_square(m, name=f"layer {k + 1}")
-            if d is None:
-                d = dk
-            elif dk != d:
-                raise ValueError("layers must share one square dimension")
-            validated.append(m)
-        object.__setattr__(self, "layers", tuple(validated))
+        L, d, cols = layers.shape
+        if L > MAX_LAYERS:
+            raise ValueError(f"{L} layers exceeds the bound {MAX_LAYERS}")
+        if d != cols:
+            raise ValueError(f"layers must be square, got shape {(d, cols)}")
+        if d > MAX_DIM:
+            raise ValueError(f"layer dimension {d} exceeds the bound {MAX_DIM}")
+        if not np.all(np.isfinite(layers)):
+            raise ValueError("layers have non-finite entries")
+        layers.flags.writeable = False
+        object.__setattr__(self, "layers", layers)
 
     @property
     def d(self) -> int:
-        return self.layers[0].shape[0]
+        return self.layers.shape[1]
 
     @property
     def L(self) -> int:
-        return len(self.layers)
+        return self.layers.shape[0]
 
     @staticmethod
     def identity(d: int, L: int) -> "DeepLinearNet":
-        return DeepLinearNet(tuple(np.eye(d) for _ in range(L)))
+        return DeepLinearNet(np.tile(np.eye(d), (L, 1, 1)))
 
 
-@dataclass(frozen=True)
-class LossReport:
-    loss: float
-    residual: np.ndarray
+def _target(net: DeepLinearNet, phi) -> np.ndarray:
+    phi = as_mat(phi, name="target")
+    if phi.shape != (net.d, net.d):
+        raise ValueError("target dimension does not match the network")
+    return phi
 
 
-@dataclass(frozen=True)
-class GradientSet:
-    """Per-layer gradient matrices plus the layer-major flattening."""
-
-    layers: tuple
-
-    @property
-    def flat(self) -> np.ndarray:
-        return np.concatenate([g.ravel(order="F") for g in self.layers])
-
-    @property
-    def squared_norm(self) -> float:
-        return float(sum(np.sum(g * g) for g in self.layers))
-
-
-def prefix_suffix_products(layers):
+def prefix_suffix_products(layers: np.ndarray):
     """Stacks P, S of shape (L + 1, d, d) with P[k] = product of the first k
-    layers (reversed order) and S[k] = product of layers k+1..L.
-    P[0] = S[L] = identity.  ``layers`` is a sequence of L matrices or an
-    (L, d, d) stack."""
-    L = len(layers)
-    d = layers[0].shape[0]
+    layers (reversed order) and S[k] = product of layers k+1..L of the
+    (L, d, d) stack ``layers``.  P[0] = S[L] = identity."""
+    L, d, _ = layers.shape
     pre = np.empty((L + 1, d, d))
     suf = np.empty((L + 1, d, d))
     pre[0] = suf[L] = np.eye(d)
@@ -96,32 +82,30 @@ def prefix_suffix_products(layers):
     return pre, suf
 
 
+def layer_gradients(pre: np.ndarray, suf: np.ndarray, residual: np.ndarray) -> np.ndarray:
+    """The (L, d, d) gradient stack G_i = S[i]^T R P[i-1]^T, from the
+    products of ``prefix_suffix_products`` and the residual R."""
+    return suf[1:].transpose(0, 2, 1) @ residual @ pre[:-1].transpose(0, 2, 1)
+
+
 def end_to_end(net: DeepLinearNet) -> np.ndarray:
     """The full product ``layers[L-1] @ ... @ layers[0]``."""
     pre, _ = prefix_suffix_products(net.layers)
     return pre[net.L]
 
 
-def loss(net: DeepLinearNet, phi) -> LossReport:
+def loss(net: DeepLinearNet, phi) -> float:
     """Half squared Frobenius distance between the end-to-end map and ``phi``."""
-    phi = as_mat(phi, name="target")
-    if phi.shape != (net.d, net.d):
-        raise ValueError("target dimension does not match the network")
-    residual = end_to_end(net) - phi
-    return LossReport(0.5 * float(np.sum(residual * residual)), residual)
+    residual = end_to_end(net) - _target(net, phi)
+    return 0.5 * float(np.sum(residual * residual))
 
 
-def full_gradient(net: DeepLinearNet, phi) -> GradientSet:
-    """All layer gradients computed from one pass of partial products."""
-    phi = as_mat(phi, name="target")
-    if phi.shape != (net.d, net.d):
-        raise ValueError("target dimension does not match the network")
+def full_gradient(net: DeepLinearNet, phi) -> np.ndarray:
+    """All layer gradients as one (L, d, d) stack, from one pass of
+    partial products."""
+    phi = _target(net, phi)
     pre, suf = prefix_suffix_products(net.layers)
-    residual = pre[net.L] - phi
-    grads = tuple(
-        suf[k + 1].T @ residual @ pre[k].T for k in range(net.L)
-    )
-    return GradientSet(grads)
+    return layer_gradients(pre, suf, pre[net.L] - phi)
 
 
 def full_hessian(net: DeepLinearNet, phi) -> np.ndarray:
@@ -142,13 +126,11 @@ def full_hessian(net: DeepLinearNet, phi) -> np.ndarray:
     """
     d, L = net.d, net.L
     n = L * d * d
-    if n > matcore.MAX_HESSIAN_SIDE:
+    if n > MAX_HESSIAN_SIDE:
         raise ValueError(
-            f"second-derivative side {n} exceeds the bound {matcore.MAX_HESSIAN_SIDE}"
+            f"second-derivative side {n} exceeds the bound {MAX_HESSIAN_SIDE}"
         )
-    phi = as_mat(phi, name="target")
-    if phi.shape != (d, d):
-        raise ValueError("target dimension does not match the network")
+    phi = _target(net, phi)
 
     pre, suf = prefix_suffix_products(net.layers)
     residual = pre[L] - phi

@@ -33,7 +33,7 @@ from . import matcore
 from .errors import ConfigError
 from .factor import balanced_factorization
 from .matcore import as_mat, frob_norm, op_norm
-from .network import prefix_suffix_products
+from .network import layer_gradients, prefix_suffix_products
 from .project import IdentityBall, gamma_margin, project_gamma_positive, project_identity_ball
 
 DIVERGE_LOSS = 1e12
@@ -297,8 +297,7 @@ def _train(
             break
         eta = step_size(t, rec.radius, loss_val)
         etas.append(eta)
-        grads = suf[1:].transpose(0, 2, 1) @ residual @ pre[:-1].transpose(0, 2, 1)
-        layers = update(layers, grads, eta)
+        layers = update(layers, layer_gradients(pre, suf, residual), eta)
         if not np.all(np.isfinite(layers)):
             status = "diverged"
             break
@@ -353,7 +352,7 @@ def run_power_projection(phi, cfg: TrainerConfig) -> TrainingTrace:
             return half, projected, loss_half
         factors = balanced_factorization(projected, cfg.L).factors
         # factors are in product order; layers apply in reversed order
-        return np.stack(factors[::-1]), projected, loss_half
+        return factors[::-1], projected, loss_half
 
     root = cfg.gamma ** (1.0 / cfg.L)
     return _train(phi, cfg, root, settle=settle, prod=cfg.gamma * np.eye(cfg.d))

@@ -23,12 +23,13 @@ checked here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
 
-from .matcore import ABS_FLOOR, MAX_HESSIAN_SIDE, frob_norm, op_norm, sym
+from .matcore import ABS_FLOOR, MAX_HESSIAN_SIDE, frob_norm, op_norm, singular_values, sym
 from .network import DeepLinearNet, full_gradient, full_hessian, loss
 from .trainers import TrainingTrace
 
@@ -64,8 +65,9 @@ def _skipped(name, note) -> CheckReport:
     return CheckReport(name, 0, 0, None, "skipped", note)
 
 
-def _flatten(layers) -> np.ndarray:
-    return np.concatenate([m.ravel(order="F") for m in layers])
+def _flatten(layers: np.ndarray) -> np.ndarray:
+    """Layer-major, column-major flattening of an (L, d, d) stack."""
+    return layers.transpose(0, 2, 1).ravel()
 
 
 def _loss_flat(x: np.ndarray, phi: np.ndarray, d: int, L: int) -> float:
@@ -111,7 +113,7 @@ def fd_gradient_check(net: DeepLinearNet, phi, h: float = 1e-5, tol: float = 1e-
         xp[i] -= 2.0 * h
         fm = _loss_flat(xp, phi, d, L)
         g_fd[i] = (fp - fm) / (2.0 * h)
-    g_an = full_gradient(net, phi).flat
+    g_an = _flatten(full_gradient(net, phi))
     scale = max(np.max(np.abs(g_an)), np.max(np.abs(g_fd)), ABS_FLOOR)
     err = float(np.max(np.abs(g_an - g_fd)) / scale)
     violations = int(err > tol)
@@ -124,7 +126,7 @@ def fd_gradient_check(net: DeepLinearNet, phi, h: float = 1e-5, tol: float = 1e-
             "entry": idx,
             "analytic": float(g_an[idx]),
             "finite_difference": float(g_fd[idx]),
-            "layers": [m.tolist() for m in net.layers],
+            "layers": net.layers.tolist(),
             "target": phi.tolist(),
             "h": h,
         }
@@ -170,7 +172,7 @@ def fd_hessian_check(net: DeepLinearNet, phi, h: float = 1e-3, tol: float = 1e-4
             "entry": [i, j],
             "analytic": float(h_an[i, j]),
             "finite_difference": float(h_fd[i, j]),
-            "layers": [m.tolist() for m in net.layers],
+            "layers": net.layers.tolist(),
             "target": phi.tolist(),
             "h": h,
         }
@@ -183,16 +185,12 @@ def check_gradient_lower_bound(net: DeepLinearNet, phi) -> CheckReport:
     parameterizes a floor, not the exact minimum).  Tight at identity
     layers.  Skipped when a >= 1 (the bound is vacuous there)."""
     phi = np.asarray(phi, dtype=float)
-    a = max(
-        0.0,
-        1.0 - min(
-            float(np.linalg.svd(m, compute_uv=False)[-1]) for m in net.layers
-        ),
-    )
+    a = max(0.0, 1.0 - float(singular_values(net.layers).min()))
     if a >= 1.0:
         return _skipped("gradient_lower_bound", f"vacuous margin (a={a:.3f})")
-    lval = loss(net, phi).loss
-    lhs = full_gradient(net, phi).squared_norm
+    lval = loss(net, phi)
+    g = full_gradient(net, phi)
+    lhs = float(np.sum(g * g))
     rhs = 2.0 * lval * net.L * (1.0 - a) ** (2 * net.L)
     violations = int(lhs < rhs - SLACK)
     worst = None
@@ -202,7 +200,7 @@ def check_gradient_lower_bound(net: DeepLinearNet, phi) -> CheckReport:
             "rhs_bound": rhs,
             "a": a,
             "loss": lval,
-            "layers": [m.tolist() for m in net.layers],
+            "layers": net.layers.tolist(),
             "target": phi.tolist(),
         }
     return _finish(
@@ -211,21 +209,35 @@ def check_gradient_lower_bound(net: DeepLinearNet, phi) -> CheckReport:
     )
 
 
+def _power(base: float, k: int) -> float:
+    """``base ** k``, or inf where the float power overflows."""
+    try:
+        return base**k
+    except OverflowError:
+        return math.inf
+
+
 def check_hessian_upper_bound(net: DeepLinearNet, phi) -> CheckReport:
     """Curvature bound: ||hessian||_F <= 3 L d^5 (1+z)^(2L) with
     1 + z = max layer operator norm (at least 1).  Requires
-    ||phi||_2 <= (1+z)^L; otherwise skipped."""
+    ||phi||_2 <= (1+z)^L; otherwise skipped, and skipped too when the
+    bound passes the float range."""
     phi = np.asarray(phi, dtype=float)
-    z = max(0.0, max(op_norm(m) for m in net.layers) - 1.0)
-    if op_norm(phi) > (1.0 + z) ** net.L:
+    z = max(0.0, float(singular_values(net.layers)[:, 0].max()) - 1.0)
+    if op_norm(phi) > _power(1.0 + z, net.L):
         return _skipped(
             "hessian_upper_bound",
             "target norm exceeds (1+z)^L; precondition unmet",
         )
     if note := _oversized_hessian_note(net):
         return _skipped("hessian_upper_bound", note)
+    rhs = 3.0 * net.L * net.d**5 * _power(1.0 + z, 2 * net.L)
+    if not math.isfinite(rhs):
+        return _skipped(
+            "hessian_upper_bound",
+            f"bound 3 L d^5 (1+z)^(2L) is not finite (z={z:.3e}, L={net.L})",
+        )
     lhs = frob_norm(full_hessian(net, phi))
-    rhs = 3.0 * net.L * net.d**5 * (1.0 + z) ** (2 * net.L)
     violations = int(lhs > rhs + SLACK)
     worst = None
     if violations:
@@ -233,7 +245,7 @@ def check_hessian_upper_bound(net: DeepLinearNet, phi) -> CheckReport:
             "lhs_hessian_frob": lhs,
             "rhs_bound": rhs,
             "z": z,
-            "layers": [m.tolist() for m in net.layers],
+            "layers": net.layers.tolist(),
             "target": phi.tolist(),
         }
     return _finish(

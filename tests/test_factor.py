@@ -115,7 +115,7 @@ def test_spd_root_diagonal():
 
 def test_balanced_factorization_diag():
     res = balanced_factorization(np.diag([8.0, 27.0]), 3)
-    assert len(res.factors) == 3
+    assert res.factors.shape == (3, 2, 2)
     for f in res.factors:
         np.testing.assert_allclose(f, np.diag([2.0, 3.0]), atol=1e-12)
     assert res.reconstruction_residual < 1e-14

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import deeplin
 from deeplin import cli, lab
 from deeplin.errors import ConfigError
 from deeplin.lab import (
@@ -611,3 +612,8 @@ def test_cli_verify_subset(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "[PASS] 07-balanced-factorization" in out
     assert cli.main(["verify", "--criteria", "bogus"]) == 2
+
+
+def test_package_exports_resolve():
+    missing = [name for name in deeplin.__all__ if not hasattr(deeplin, name)]
+    assert not missing

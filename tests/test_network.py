@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from deeplin.matcore import MAX_DIM, MAX_LAYERS
 from deeplin.network import (
     DeepLinearNet,
     end_to_end,
@@ -32,6 +33,29 @@ def test_constructor_validation():
         DeepLinearNet((np.zeros((2, 2)), np.zeros((3, 3))))
     with pytest.raises(ValueError):
         DeepLinearNet((np.zeros((2, 3)),))
+    with pytest.raises(ValueError):
+        DeepLinearNet(np.zeros((MAX_LAYERS + 1, 2, 2)))
+    with pytest.raises(ValueError):
+        DeepLinearNet(np.zeros((2, MAX_DIM + 1, MAX_DIM + 1)))
+    with pytest.raises(ValueError):
+        DeepLinearNet((np.eye(2), np.array([[np.nan, 0.0], [0.0, 1.0]])))
+    with pytest.raises(ValueError):
+        DeepLinearNet(np.eye(2))
+    with pytest.raises(ValueError):
+        DeepLinearNet((np.eye(2), [[1.0, 0.0], [0.0]]))
+
+
+def test_layers_are_an_owned_read_only_stack():
+    source = np.stack([np.eye(2), 2.0 * np.eye(2)])
+    net = DeepLinearNet(source)
+    assert net.layers.shape == (2, 2, 2) and net.layers.dtype == np.float64
+    assert not net.layers.flags.writeable
+    with pytest.raises(ValueError):
+        net.layers[0, 0, 0] = 5.0
+    source[0, 0, 0] = 5.0
+    assert net.layers[0, 0, 0] == 1.0
+    # a tuple of matrices builds the same stack
+    np.testing.assert_array_equal(DeepLinearNet(tuple(source)).layers, source)
 
 
 def test_identity_factories():
@@ -51,27 +75,26 @@ def test_application_order():
 def test_loss_frozen_values():
     net = scalar_net()
     phi = np.array([[5.0]])
-    report = loss(net, phi)
-    assert report.loss == pytest.approx(180.5)
-    assert report.residual[0, 0] == pytest.approx(19.0)
+    assert loss(net, phi) == pytest.approx(180.5)
+    assert (end_to_end(net) - phi)[0, 0] == pytest.approx(19.0)
     # identity target at identity layers has zero loss
     idn = DeepLinearNet.identity(3, 2)
-    assert loss(idn, np.eye(3)).loss == 0.0
-    assert loss(DeepLinearNet.identity(2, 3), np.diag([2.0, 1.0])).loss == 0.5
+    assert loss(idn, np.eye(3)) == 0.0
+    assert loss(DeepLinearNet.identity(2, 3), np.diag([2.0, 1.0])) == 0.5
     # one negative target eigenvalue: residual entry 1 + 0.8
     neg = np.diag([-0.8, 1.0, 1.0])
-    assert loss(DeepLinearNet.identity(3, 4), neg).loss == pytest.approx(1.62)
+    assert loss(DeepLinearNet.identity(3, 4), neg) == pytest.approx(1.62)
 
 
 def test_gradient_frozen_scalar_values():
     net = scalar_net()
     phi = np.array([[5.0]])
     g = full_gradient(net, phi)
-    assert g.layers[0][0, 0] == pytest.approx(228.0)
-    assert g.layers[1][0, 0] == pytest.approx(152.0)
-    assert g.layers[2][0, 0] == pytest.approx(114.0)
-    assert g.squared_norm == pytest.approx(228.0**2 + 152.0**2 + 114.0**2)
-    assert g.flat.shape == (3,)
+    assert g[0][0, 0] == pytest.approx(228.0)
+    assert g[1][0, 0] == pytest.approx(152.0)
+    assert g[2][0, 0] == pytest.approx(114.0)
+    assert np.sum(g * g) == pytest.approx(228.0**2 + 152.0**2 + 114.0**2)
+    assert g.shape == (3, 1, 1)
 
 
 def test_gradient_at_identity_is_negative_residual_everywhere():
@@ -79,7 +102,7 @@ def test_gradient_at_identity_is_negative_residual_everywhere():
     net = DeepLinearNet.identity(3, 4)
     g = full_gradient(net, phi)
     for i in range(1, 5):
-        np.testing.assert_allclose(g.layers[i - 1], np.eye(3) - phi, atol=0.0)
+        np.testing.assert_allclose(g[i - 1], np.eye(3) - phi, atol=0.0)
 
 
 def test_hessian_frozen_scalar_values():

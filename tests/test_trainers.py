@@ -61,17 +61,16 @@ def test_gd_updates_are_simultaneous():
 
 
 def test_gd_step_matches_per_layer_gradient():
-    # the stacked step does the per-layer arithmetic, so it agrees bitwise
-    # with the network module's gradient at each recorded iterate
+    # the gd step is layers - eta * full_gradient, bitwise, at each
+    # recorded iterate
     phi = np.random.default_rng(3).standard_normal((3, 3))
     cfg = TrainerConfig(
         "gd", 3, 4, StepSchedule("constant", 0.02), max_iters=3, record_layers=True
     )
     trace = run_gd(phi, cfg)
     for before, after in zip(trace.layers, trace.layers[1:]):
-        grads = full_gradient(DeepLinearNet(tuple(before)), phi).layers
-        for m, g, m_next in zip(before, grads, after):
-            np.testing.assert_array_equal(m_next, m - 0.02 * g)
+        grads = full_gradient(DeepLinearNet(before), phi)
+        np.testing.assert_array_equal(after, before - 0.02 * grads)
 
 
 def test_gd_converged_at_start():

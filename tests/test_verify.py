@@ -1,7 +1,6 @@
 """Checker behavior, including mutation tests proving they catch breakage."""
 
 import json
-import types
 
 import numpy as np
 import pytest
@@ -38,12 +37,12 @@ def test_fd_gradient_clean_pass():
 
 def test_fd_gradient_catches_corruption(monkeypatch):
     net, phi = small_net()
-    real = full_gradient(net, phi).flat
+    real = full_gradient(net, phi)
 
     def corrupted(n, p):
         bad = real.copy()
-        bad[0] += 1e-3
-        return types.SimpleNamespace(flat=bad)
+        bad[0, 0, 0] += 1e-3
+        return bad
 
     monkeypatch.setattr(verify, "full_gradient", corrupted)
     report = fd_gradient_check(net, phi)
@@ -108,6 +107,14 @@ def test_hessian_upper_bound_identity():
 def test_hessian_upper_bound_skips_oversized_target():
     report = check_hessian_upper_bound(DeepLinearNet.identity(2, 2), 50.0 * np.eye(2))
     assert report.status == "skipped"
+
+
+def test_hessian_upper_bound_skips_bound_beyond_float_range():
+    # (1+z)^L = 300^64 is finite, the bound's 300^128 is not
+    net = DeepLinearNet(np.full((64, 1, 1), 300.0))
+    report = check_hessian_upper_bound(net, np.array([[0.5]]))
+    assert report.status == "skipped"
+    assert "not finite" in report.note
 
 
 def test_hessian_checks_skip_oversized_network():
