@@ -275,10 +275,6 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     return cfg
 
 
-def scenario_to_dict(cfg: ScenarioConfig) -> dict:
-    return asdict(cfg)
-
-
 def load_scenario(path) -> ScenarioConfig:
     path = Path(path)
     try:
@@ -288,10 +284,6 @@ def load_scenario(path) -> ScenarioConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     return scenario_from_dict(data)
-
-
-def save_scenario(cfg: ScenarioConfig, path):
-    Path(path).write_text(json.dumps(scenario_to_dict(cfg), indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -483,8 +475,9 @@ def sweep(directory, workers: int | None = None) -> list:
     """Run every ``*.json`` scenario in a directory, in sorted order.
 
     Concurrency is bounded by ``workers`` (default: the DEEPLIN_WORKERS
-    environment variable, falling back to 1).  A config that fails to load
-    or validate gets a ``config-error`` report in its place.
+    environment variable, falling back to 1), by the CPU count and by the
+    number of configs.  A config that fails to load or validate gets a
+    ``config-error`` report in its place.
     """
     directory = Path(directory)
     paths = sorted(str(p) for p in directory.glob("*.json"))
@@ -492,9 +485,10 @@ def sweep(directory, workers: int | None = None) -> list:
         raise ConfigError(f"no scenario configs found in {directory}")
     if workers is None:
         workers = default_workers()
+    workers = min(workers, len(paths), os.cpu_count() or 1)
     if workers <= 1:
         return [_run_scenario_path(p) for p in paths]
-    with ProcessPoolExecutor(max_workers=min(workers, len(paths))) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_scenario_path, paths))
 
 

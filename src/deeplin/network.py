@@ -108,21 +108,30 @@ def full_gradient(net: DeepLinearNet, phi) -> np.ndarray:
     return layer_gradients(pre, suf, pre[net.L] - phi)
 
 
+# entries of one chunk of blocks in ``full_hessian``: a chunk holds
+# max(1, _BUDGET // d^4) blocks of d^4 entries each
+_BUDGET = 2**15
+
+
 def full_hessian(net: DeepLinearNet, phi) -> np.ndarray:
     """Full second-derivative matrix, shape (L d^2, L d^2).
 
     With G_i the gradient of layer i, residual R, M the product of layers
-    i+1..j-1 and Q = S[j]^T R P[i-1]^T, block (i, j) for i <= j is
+    i+1..j-1 and Q = (S[j]^T R) P[i-1]^T, block (i, j) for i <= j is
 
         dG_i[a,b] / dW_j[c,e] = (S[i]^T S[j])[a,c] (P[j-1] P[i-1]^T)[e,b]
                                 + [i < j] M[e,a] Q[c,b],
 
     laid out as a (d, d, d, d) array indexed [b, a, e, c], which is the
-    column-major flattening of both layers.  M is carried along j with one
-    product per block.  The lower off-diagonal blocks are transposes of
-    their upper counterparts.  Each block costs O(d^4) and no intermediate
-    has more than d^4 entries; the output itself is capped by
-    MAX_HESSIAN_SIDE.
+    column-major flattening of both layers.  S[j]^T R is formed once for
+    all j, and the M once for all blocks, one batched product per
+    diagonal j - i, in an (L, L, d, d) table of L^2 d^2 entries.  Row i
+    builds its L - i + 1 blocks j >= i in chunks of c = max(1, _BUDGET //
+    d^4) blocks, each chunk with four batched matmuls and one einsum per
+    term.  A row costs O((L - i + 1) d^4) work in ceil((L - i + 1) / c)
+    chunks, and no chunk intermediate has more than max(_BUDGET, d^4)
+    entries.  The lower off-diagonal blocks are transposes of their upper
+    counterparts.  The output itself is capped by MAX_HESSIAN_SIDE.
     """
     d, L = net.d, net.L
     n = L * d * d
@@ -133,21 +142,31 @@ def full_hessian(net: DeepLinearNet, phi) -> np.ndarray:
     phi = _target(net, phi)
 
     pre, suf = prefix_suffix_products(net.layers)
-    residual = pre[L] - phi
+    pre_t = pre.transpose(0, 2, 1)
+    suf_t = suf.transpose(0, 2, 1)
+    sr = suf_t @ (pre[L] - phi)
+    # mid[m, i-1] is M for block (i, i+m), so the diagonal m = 1 is identity
+    mid = np.empty((L, L, d, d))
+    mid[1:2] = np.eye(d)
+    for m in range(2, L):
+        np.matmul(net.layers[m - 1 : L - 1], mid[m - 1, : L - m], out=mid[m, : L - m])
     dd = d * d
+    chunk = max(1, _BUDGET // (dd * dd))
     h = np.empty((n, n))
+    blocks = h.reshape(L, dd, L, dd)  # blocks[i-1, :, j-1] is block (i, j)
     for i in range(1, L + 1):
-        rows = slice((i - 1) * dd, i * dd)
-        mid = np.eye(d)
-        for j in range(i, L + 1):
-            cols = slice((j - 1) * dd, j * dd)
-            block = np.einsum(
-                "ac,eb->baec", suf[i].T @ suf[j], pre[j - 1] @ pre[i - 1].T
+        for j0 in range(i, L + 1, chunk):
+            j1 = min(j0 + chunk, L + 1)
+            row = np.einsum(
+                "jac,jeb->jbaec",
+                suf_t[i] @ suf[j0:j1],
+                pre[j0 - 1 : j1 - 1] @ pre_t[i - 1],
             )
-            if j > i:
-                q = suf[j].T @ residual @ pre[i - 1].T
-                block += np.einsum("ea,cb->baec", mid, q)
-                mid = net.layers[j - 1] @ mid
-                h[cols, rows] = block.reshape(dd, dd).T
-            h[rows, cols] = block.reshape(dd, dd)
+            lo = j0 + (j0 == i)  # the first off-diagonal block of the chunk
+            row[lo - j0 :] += np.einsum(
+                "jea,jcb->jbaec", mid[lo - i : j1 - i, i - 1], sr[lo:j1] @ pre_t[i - 1]
+            )
+            row = row.reshape(j1 - j0, dd, dd)
+            blocks[lo - 1 : j1 - 1, :, i - 1] = row[lo - j0 :].transpose(0, 2, 1)
+            blocks[i - 1, :, j0 - 1 : j1 - 1] = row.transpose(1, 0, 2)
     return h

@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -21,9 +22,7 @@ from deeplin.lab import (
     make_target,
     read_matrix_csv,
     run_scenario,
-    save_scenario,
     scenario_from_dict,
-    scenario_to_dict,
     sweep,
     write_matrix_csv,
     write_trace_csv,
@@ -130,11 +129,11 @@ def demo_config(tmp_path=None, **overrides):
 
 def test_scenario_json_round_trip(tmp_path):
     cfg = scenario_from_dict(demo_config())
-    blob = json.loads(json.dumps(scenario_to_dict(cfg)))
+    blob = json.loads(json.dumps(asdict(cfg)))
     again = scenario_from_dict(blob)
     assert again == cfg
     path = tmp_path / "cfg.json"
-    save_scenario(cfg, path)
+    path.write_text(json.dumps(asdict(cfg), indent=2))
     assert load_scenario(path) == cfg
 
 
@@ -571,7 +570,9 @@ def test_drawn_config_ends_in_report_or_config_error(data):
     assert isinstance(report, ScenarioReport)
 
 
-def test_sweep_starts_no_more_workers_than_configs(tmp_path, monkeypatch):
+def serial_pool(monkeypatch, cpus):
+    """Make sweep believe the host has ``cpus`` CPUs and run its pool in this
+    process; returns the list of pool sizes that sweep asks for."""
     seen = []
 
     class SerialPool:
@@ -588,13 +589,35 @@ def test_sweep_starts_no_more_workers_than_configs(tmp_path, monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(lab, "ProcessPoolExecutor", SerialPool)
-    for k in range(2):
+    monkeypatch.setattr(lab.os, "cpu_count", lambda: cpus)
+    return seen
+
+
+def write_sweep_configs(tmp_path, count):
+    for k in range(count):
         (tmp_path / f"s{k}.json").write_text(
             json.dumps(demo_config(scenario_id=f"s{k}", checks=[]))
         )
+
+
+def test_sweep_starts_no_more_workers_than_configs(tmp_path, monkeypatch):
+    seen = serial_pool(monkeypatch, cpus=64)
+    write_sweep_configs(tmp_path, 2)
     reports = sweep(tmp_path, workers=10**6)
     assert seen == [2]
     assert [r.status for r in reports] == ["converged", "converged"]
+
+
+def test_sweep_starts_no_more_workers_than_cpus(tmp_path, monkeypatch):
+    seen = serial_pool(monkeypatch, cpus=2)
+    write_sweep_configs(tmp_path, 3)
+    reports = sweep(tmp_path, workers=10**6)
+    assert seen == [2]
+    assert [r.status for r in reports] == ["converged"] * 3
+    # one CPU runs the configs in this process, without a pool
+    seen = serial_pool(monkeypatch, cpus=1)
+    assert len(sweep(tmp_path, workers=10**6)) == 3
+    assert seen == []
 
 
 def test_cli_factor_and_numeric_exit(tmp_path, capsys):

@@ -17,6 +17,7 @@ from deeplin.network import (
     full_gradient,
     full_hessian,
     loss,
+    prefix_suffix_products,
 )
 
 
@@ -24,6 +25,11 @@ def scalar_net():
     return DeepLinearNet(
         (np.array([[2.0]]), np.array([[3.0]]), np.array([[4.0]]))
     )
+
+
+def random_net(rng, d, L):
+    layers = np.eye(d) + rng.standard_normal((L, d, d)) / (4.0 * np.sqrt(L * d))
+    return DeepLinearNet(layers), rng.standard_normal((d, d))
 
 
 def test_constructor_validation():
@@ -228,3 +234,65 @@ def test_hessian_memory_stays_bounded():
         tracemalloc.stop()
     assert h.shape == (L * d * d, L * d * d)
     assert peak < 16 * 2**20
+    # deep and wide nets: the chunks and the middle products stay within 2 MiB
+    for d, L in ((2, 64), (8, 16)):
+        net, phi = random_net(rng, d, L)
+        tracemalloc.start()
+        try:
+            h = full_hessian(net, phi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= h.nbytes + 2 * 2**20
+
+
+def _reference_hessian(net, phi):
+    """The second-derivative matrix built one d x d block at a time, as the
+    row-chunked ``full_hessian`` must reproduce it."""
+    d, L = net.d, net.L
+    pre, suf = prefix_suffix_products(net.layers)
+    residual = pre[L] - phi
+    dd = d * d
+    h = np.empty((L * dd, L * dd))
+    for i in range(1, L + 1):
+        rows = slice((i - 1) * dd, i * dd)
+        mid = np.eye(d)
+        for j in range(i, L + 1):
+            cols = slice((j - 1) * dd, j * dd)
+            block = np.einsum(
+                "ac,eb->baec", suf[i].T @ suf[j], pre[j - 1] @ pre[i - 1].T
+            )
+            if j > i:
+                q = suf[j].T @ residual @ pre[i - 1].T
+                block += np.einsum("ea,cb->baec", mid, q)
+                mid = net.layers[j - 1] @ mid
+                h[cols, rows] = block.reshape(dd, dd).T
+            h[rows, cols] = block.reshape(dd, dd)
+    return h
+
+
+# whole-row chunks, several chunks per row, one block per chunk, one layer
+@pytest.mark.parametrize("d, L", [(1, 64), (2, 64), (8, 16), (16, 2), (3, 1)])
+def test_hessian_matches_block_reference(d, L):
+    net, phi = random_net(np.random.default_rng(15 + d * L), d, L)
+    np.testing.assert_allclose(
+        full_hessian(net, phi), _reference_hessian(net, phi), rtol=1e-13, atol=0.0
+    )
+
+
+def test_hessian_directional_second_difference_deep():
+    rng = np.random.default_rng(16)
+    d, L = 2, 64
+    net, phi = random_net(rng, d, L)
+    h = full_hessian(net, phi)
+    x = net.layers.transpose(0, 2, 1).ravel()  # column-major inside each layer
+
+    def f(y):
+        return loss(DeepLinearNet(y.reshape(L, d, d).transpose(0, 2, 1)), phi)
+
+    s = 1e-4
+    for _ in range(4):
+        v = rng.standard_normal(x.size)
+        v /= np.linalg.norm(v)
+        fd = (f(x + s * v) - 2.0 * f(x) + f(x - s * v)) / s**2
+        assert v @ h @ v == pytest.approx(fd, rel=1e-5, abs=1e-6)
