@@ -247,9 +247,10 @@ def _balanced_factorization_corpus(workdir):
         k = rng.uniform(0.0, 1.0) * rng.standard_normal((d, d))
         a = (s + s.T) / 2.0 + (k - k.T) / 2.0
         res = balanced_factorization(a, L)
+        balance = res.balance_residual
         worst_recon = max(worst_recon, res.reconstruction_residual)
-        worst_balance = max(worst_balance, res.balance_residual)
-        if res.reconstruction_residual > 1e-8 or res.balance_residual > 1e-8:
+        worst_balance = max(worst_balance, balance)
+        if res.reconstruction_residual > 1e-8 or balance > 1e-8:
             bad += 1
     ok = bad == 0
     return _report(

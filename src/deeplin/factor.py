@@ -1,15 +1,16 @@
-"""Polar decomposition, principal matrix roots, and balanced factorization.
+"""Principal orthogonal roots and the balanced factorization.
 
 ``balanced_factorization(a, L)`` writes an invertible matrix as a product of
 L factors that all share the singular values ``sigma(a) ** (1/L)``.  The
 construction takes the polar form a = r p, the principal roots of each part,
 and conjugates the scaling root by powers of the rotation root so the pieces
-telescope.
+telescope.  One SVD a = U S V^T gives both parts, r = U V^T and
+p = V S V^T, and with them the symmetric root p^(1/L) = V S^(1/L) V^T
+(Higham, Functions of Matrices, 2008, ch. 7-8).
 
 Principal roots are real matrices.  The orthogonal root comes from the real
 Schur form: rotation blocks have their angles divided by L, so an eigenvalue
 at -1 (rotation by pi) has no real principal root and is rejected loudly.
-The symmetric root comes from an eigendecomposition with a positivity floor.
 """
 
 from __future__ import annotations
@@ -31,51 +32,22 @@ RECON_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class PolarParts:
-    """Orthogonal factor ``r`` and symmetric positive semidefinite ``p``
-    with ``r @ p`` equal to the input."""
-
-    r: np.ndarray
-    p: np.ndarray
-
-
-@dataclass(frozen=True)
 class FactorizationResult:
     """Factors as one (L, d, d) stack in product order (factors[0]
-    leftmost) plus residuals.
-
-    ``reconstruction_residual`` is relative to the input's Frobenius norm;
-    ``balance_residual`` is the largest absolute deviation of any factor's
-    singular values from ``sigma(a) ** (1/L)``.
+    leftmost), the reconstruction residual relative to the input's
+    Frobenius norm, and the balanced singular values ``sigma(a) ** (1/L)``
+    in descending order.
     """
 
-    factors: tuple
+    factors: np.ndarray
     reconstruction_residual: float
-    balance_residual: float
+    root_singular_values: np.ndarray
 
-
-def polar(a) -> PolarParts:
-    """Polar decomposition a = r p via the SVD.
-
-    Requires ``a`` square and, for downstream root-taking, invertible; rank
-    deficiency beyond tolerance raises SingularInputError.
-    """
-    a = as_mat(a)
-    require_square(a)
-    try:
-        u, s, vt = np.linalg.svd(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(
-            f"svd failed in polar decomposition: {exc}; cond~{cond_estimate(a):.3e}"
-        ) from exc
-    if s[-1] <= SPD_FLOOR * max(s[0], 1.0):
-        raise SingularInputError(
-            f"input is numerically singular (sigma_min={s[-1]:.3e}); "
-            "polar factors would not support root-taking"
-        )
-    r = u @ vt
-    p = sym(vt.T @ (s[:, None] * vt))
-    return PolarParts(r, p)
+    @property
+    def balance_residual(self) -> float:
+        """Largest absolute deviation of any factor's singular values from
+        the balanced values; computed on each read (one batched SVD)."""
+        return float(np.max(np.abs(singular_values(self.factors) - self.root_singular_values)))
 
 
 def principal_root_orthogonal(r, L: int) -> np.ndarray:
@@ -122,40 +94,35 @@ def principal_root_orthogonal(r, L: int) -> np.ndarray:
     return q @ root_t @ q.T
 
 
-def principal_root_spd(p, L: int) -> np.ndarray:
-    """Principal L-th root of a symmetric positive definite matrix."""
-    p = as_mat(p)
-    d = require_square(p)
-    if not isinstance(L, (int, np.integer)) or L < 1:
-        raise ValueError("L must be a positive integer")
-    scale = max(frob_norm(p), 1.0)
-    if frob_norm(p - p.T) > 1e-10 * scale:
-        raise ValueError("input is not symmetric within tolerance")
-    w, v = np.linalg.eigh(sym(p))
-    if w[0] <= SPD_FLOOR * max(w[-1], 1.0):
-        raise SingularInputError(
-            f"eigenvalue {w[0]:.3e} below the positivity floor; input is not "
-            "positive definite"
-        )
-    root = (v * w ** (1.0 / L)) @ v.T
-    return sym(root)
-
-
 def balanced_factorization(a, L: int) -> FactorizationResult:
     """Split ``a`` into L factors with identical singular values.
 
     With a = r p polar, factor i is ``r1 @ (rk @ p1 @ rk.T)`` where r1, p1
     are the principal L-th roots and rk = r1 ** (L - i); the conjugations
-    cancel in the product.  Factors are returned as one stack in product
-    order, so ``factors[0] @ ... @ factors[-1]`` reconstructs ``a``.
+    cancel in the product.  Both roots come from the one SVD a = U S V^T:
+    r1 is the orthogonal root of U V^T and p1 = V S^(1/L) V^T.  Factors are
+    returned as one stack in product order, so ``factors[0] @ ... @
+    factors[-1]`` reconstructs ``a``.  A numerically singular input raises
+    SingularInputError; a failed reconstruction raises NumericError.
     """
     a = as_mat(a)
     require_square(a)
     if not isinstance(L, (int, np.integer)) or L < 1:
         raise ValueError("L must be a positive integer")
-    parts = polar(a)
-    r_root = principal_root_orthogonal(parts.r, L)
-    p_root = principal_root_spd(parts.p, L)
+    try:
+        u, s, vt = np.linalg.svd(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(
+            f"svd failed in polar decomposition: {exc}; cond~{cond_estimate(a):.3e}"
+        ) from exc
+    if s[-1] <= SPD_FLOOR * max(s[0], 1.0):
+        raise SingularInputError(
+            f"input is numerically singular (sigma_min={s[-1]:.3e}); "
+            "polar factors would not support root-taking"
+        )
+    r_root = principal_root_orthogonal(u @ vt, L)
+    s_root = s ** (1.0 / L)
+    p_root = sym((vt.T * s_root) @ vt)
 
     powers = np.empty((L,) + a.shape)
     powers[0] = np.eye(a.shape[0])
@@ -166,12 +133,10 @@ def balanced_factorization(a, L: int) -> FactorizationResult:
     factors = r_root @ rk @ p_root @ rk.transpose(0, 2, 1)
 
     recon = frob_norm(reduce(np.matmul, factors) - a) / max(frob_norm(a), 1.0)
-    target_sv = singular_values(a) ** (1.0 / L)
-    balance = float(np.max(np.abs(singular_values(factors) - target_sv)))
     if recon > RECON_TOL:
         raise NumericError(
             f"balanced factorization failed to reconstruct the input "
             f"(relative residual {recon:.3e}, d={a.shape[0]}, L={L}, "
             f"cond~{cond_estimate(a):.3e})"
         )
-    return FactorizationResult(factors, recon, balance)
+    return FactorizationResult(factors, recon, s_root)

@@ -49,8 +49,9 @@ def require_square(a: np.ndarray, name: str = "matrix") -> int:
 
 
 def sym(a) -> np.ndarray:
+    """Symmetric part of a matrix, or of each matrix of a stack."""
     a = np.asarray(a, dtype=float)
-    return (a + a.T) / 2.0
+    return (a + np.swapaxes(a, -1, -2)) / 2.0
 
 
 def skew(a) -> np.ndarray:

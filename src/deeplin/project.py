@@ -8,7 +8,8 @@ Two feasible sets appear:
   part's eigenvalues at gamma, keep the skew part untouched.
 * operator-norm balls of radius psi around the identity, with an optional
   symmetric positive semidefinite variant whose eigenvalues are clipped
-  onto [max(0, 1 - psi), 1 + psi].
+  onto [max(0, 1 - psi), 1 + psi].  This projection takes one matrix or a
+  whole (L, d, d) layer stack at once.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import as_mat, frob_norm, op_norm, require_square, skew, sym
+from .matcore import MAX_DIM, as_mat, require_square, singular_values, skew, sym
 
 
 @dataclass(frozen=True)
@@ -60,28 +61,54 @@ def project_gamma_positive(a, gamma: float) -> np.ndarray:
     return sym(clipped) + skew(a)
 
 
-def project_identity_ball(a, ball: IdentityBall) -> np.ndarray:
-    """Frobenius projection onto an IdentityBall.
+def _square_stack(a) -> np.ndarray:
+    """``a`` as a float (n, d, d) stack: an (L, d, d) stack as given, one
+    square matrix as a stack of one (validated as ``as_mat`` does)."""
+    arr = np.asarray(a, dtype=float)
+    if arr.ndim != 3:
+        arr = as_mat(arr)
+        require_square(arr)
+        return arr[None]
+    n, d, cols = arr.shape
+    if n == 0 or d != cols:
+        raise ValueError(f"need a nonempty stack of square matrices, got shape {arr.shape}")
+    if d > MAX_DIM:
+        raise ValueError(f"stack has shape {arr.shape}, beyond the configured bound {MAX_DIM}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("stack has non-finite entries")
+    return arr
 
-    General mode clips the singular values of A - I at the radius.  The psd
-    mode requires symmetric input and clips eigenvalues onto
-    [max(0, 1 - radius), 1 + radius]; the result then commutes with the
-    input.  Feasible input is returned unchanged.
+
+def project_identity_ball(a, ball: IdentityBall) -> np.ndarray:
+    """Frobenius projection onto an IdentityBall of one matrix, or of each
+    matrix of an (L, d, d) stack, returned in the input's shape.
+
+    General mode clips the singular values of A - I at the radius.  Whether
+    a matrix clips is decided from one values-only SVD of the whole stack,
+    the same largest singular value ``op_norm`` gives, and only the matrices
+    that clip get a full SVD.  The psd mode requires symmetric input and
+    clips eigenvalues onto [max(0, 1 - radius), 1 + radius]; the result then
+    commutes with the input.  Feasible matrices are returned unchanged.
     """
-    a = as_mat(a)
-    d = require_square(a)
+    stack = _square_stack(a)
+    out = stack.copy()
+    d = stack.shape[-1]
     if ball.psd_constrained:
-        scale = max(frob_norm(a), 1.0)
-        if frob_norm(a - a.T) > 1e-10 * scale:
+        scale = np.maximum(np.linalg.norm(stack, axis=(1, 2)), 1.0)
+        asym = np.linalg.norm(stack - np.swapaxes(stack, 1, 2), axis=(1, 2))
+        if np.any(asym > 1e-10 * scale):
             raise ValueError("psd-constrained projection requires symmetric input")
-        w, v = np.linalg.eigh(sym(a))
+        w, v = np.linalg.eigh(sym(stack))
         lo = max(0.0, 1.0 - ball.radius)
         hi = 1.0 + ball.radius
-        if w[0] >= lo and w[-1] <= hi:
-            return a.copy()
-        return sym((v * np.clip(w, lo, hi)) @ v.T)
-    e = a - np.eye(d)
-    if op_norm(e) <= ball.radius:
-        return a.copy()
-    u, s, vt = np.linalg.svd(e)
-    return np.eye(d) + u @ (np.minimum(s, ball.radius)[:, None] * vt)
+        clip = (w[:, 0] < lo) | (w[:, -1] > hi)
+        if np.any(clip):
+            v = v[clip]
+            out[clip] = sym((v * np.clip(w[clip], lo, hi)[:, None, :]) @ np.swapaxes(v, 1, 2))
+    else:
+        e = stack - np.eye(d)
+        clip = singular_values(e)[:, 0] > ball.radius
+        if np.any(clip):
+            u, s, vt = np.linalg.svd(e[clip])
+            out[clip] = np.eye(d) + u @ (np.minimum(s, ball.radius)[:, :, None] * vt)
+    return out if np.ndim(a) == 3 else out[0]

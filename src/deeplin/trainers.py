@@ -37,6 +37,9 @@ from .network import layer_gradients, prefix_suffix_products
 from .project import IdentityBall, gamma_margin, project_gamma_positive, project_identity_ball
 
 DIVERGE_LOSS = 1e12
+# Cap on the (max_iters + 1) * L * d^2 entries that record_layers may keep:
+# 128 MiB of float64, the size of the largest Hessian.
+_MAX_RECORDED_ENTRIES = matcore.MAX_HESSIAN_SIDE**2
 
 _ALGORITHMS = ("gd", "power_projection", "step_and_project", "penalty_gd")
 
@@ -114,6 +117,12 @@ class TrainerConfig:
             raise ConfigError("max_iters must be nonnegative")
         if self.epsilon < 0.0:
             raise ConfigError("epsilon must be nonnegative")
+        recorded = (self.max_iters + 1) * self.L * self.d**2
+        if self.record_layers and recorded > _MAX_RECORDED_ENTRIES:
+            raise ConfigError(
+                f"record_layers would keep {recorded} entries "
+                f"((max_iters + 1) * L * d^2), above the cap {_MAX_RECORDED_ENTRIES}"
+            )
         self.schedule.validate(self.algorithm)
         if self.algorithm in ("power_projection", "step_and_project"):
             if not self.gamma > 0.0:
@@ -340,8 +349,11 @@ def run_power_projection(phi, cfg: TrainerConfig) -> TrainingTrace:
         )
 
     def settle(half):
-        pre_h, _ = prefix_suffix_products(half)
-        prod_half = pre_h[-1]
+        # the same association as the loop's prefix products, without the
+        # suffix products the loss does not need
+        prod_half = np.eye(cfg.d)
+        for m in half:
+            prod_half = m @ prod_half
         loss_half = 0.5 * float(np.sum((prod_half - phi) ** 2))
         projected = prod_half
         if np.all(np.isfinite(prod_half)):
@@ -366,7 +378,7 @@ def run_step_and_project(phi, cfg: TrainerConfig) -> TrainingTrace:
     ball = IdentityBall(cfg.psi)
 
     def settle(stepped):
-        return np.stack([project_identity_ball(m, ball) for m in stepped]), None, None
+        return project_identity_ball(stepped, ball), None, None
 
     return _train(phi, cfg, cfg.gamma ** (1.0 / cfg.L), settle=settle)
 

@@ -1,46 +1,93 @@
-"""Polar decomposition, principal matrix roots, balanced factorization."""
+"""Principal orthogonal roots and the balanced factorization."""
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from deeplin.errors import NoRealRootError, SingularInputError
-from deeplin.factor import (
-    balanced_factorization,
-    polar,
-    principal_root_orthogonal,
-    principal_root_spd,
-)
+from deeplin.factor import balanced_factorization, principal_root_orthogonal
 from deeplin.lab import random_orthogonal
 from deeplin.matcore import rotation, sym
 
 
-def test_polar_against_sqrtm():
+def _eigh_reference(a, L):
+    """The factors as built with the symmetric root from an
+    eigendecomposition of the polar factor p = V S V^T (the construction
+    before the root was read off the SVD)."""
+    d = a.shape[0]
+    u, s, vt = np.linalg.svd(a)
+    p = sym(vt.T @ (s[:, None] * vt))
+    w, v = np.linalg.eigh(sym(p))
+    p_root = sym((v * w ** (1.0 / L)) @ v.T)
+    r_root = principal_root_orthogonal(u @ vt, L)
+    powers = [np.eye(d)]
+    for _ in range(1, L):
+        powers.append(powers[-1] @ r_root)
+    rk = np.array(powers[::-1])
+    return r_root @ rk @ p_root @ rk.transpose(0, 2, 1)
+
+
+def _gamma_positive(rng, d):
+    q = random_orthogonal(d, rng)
+    s = (q * (0.1 + rng.uniform(0.0, 2.0, d))) @ q.T
+    k = rng.uniform(0.0, 1.0) * rng.standard_normal((d, d))
+    return sym(s) + (k - k.T) / 2.0
+
+
+def test_balanced_factorization_against_sqrtm():
+    # independent oracle: polar factors and both square roots from sqrtm
     rng = np.random.default_rng(21)
     for _ in range(10):
         d = int(rng.integers(1, 6))
-        a = np.eye(d) + 0.6 * rng.standard_normal((d, d))
-        parts = polar(a)
-        np.testing.assert_allclose(parts.r @ parts.p, a, atol=1e-12)
-        np.testing.assert_allclose(parts.r @ parts.r.T, np.eye(d), atol=1e-12)
-        # independent oracle for the stretch factor
-        p_ref = scipy.linalg.sqrtm(a.T @ a).real
-        np.testing.assert_allclose(parts.p, p_ref, atol=1e-9)
+        a = _gamma_positive(rng, d)
+        p = scipy.linalg.sqrtm(a.T @ a).real
+        r = a @ np.linalg.inv(p)
+        r1 = scipy.linalg.sqrtm(r).real
+        p1 = scipy.linalg.sqrtm(p).real
+        expected = [r1 @ r1 @ p1 @ r1.T, r1 @ p1]
+        res = balanced_factorization(a, 2)
+        np.testing.assert_allclose(res.factors, expected, atol=1e-9)
 
 
-def test_polar_singular_input():
+def test_balanced_factorization_singular_input():
     with pytest.raises(SingularInputError):
-        polar(np.array([[1.0, 0.0], [0.0, 0.0]]))
+        balanced_factorization(np.array([[1.0, 0.0], [0.0, 0.0]]), 2)
+    with pytest.raises(SingularInputError):
+        balanced_factorization(np.diag([1.0, 0.0]), 1)
 
 
-def test_polar_frozen_cases():
-    parts = polar(2.0 * np.eye(3))
-    np.testing.assert_allclose(parts.r, np.eye(3), atol=1e-12)
-    np.testing.assert_allclose(parts.p, 2.0 * np.eye(3), atol=1e-12)
-    r = rotation(0.7)
-    parts = polar(r)
-    np.testing.assert_allclose(parts.r, r, atol=1e-12)
-    np.testing.assert_allclose(parts.p, np.eye(2), atol=1e-12)
+def test_balanced_factorization_frozen_cases():
+    res = balanced_factorization(2.0 * np.eye(3), 1)
+    np.testing.assert_allclose(res.factors[0], 2.0 * np.eye(3), atol=1e-12)
+    # a pure rotation splits into equal rotations by half the angle
+    res = balanced_factorization(rotation(0.7), 2)
+    for f in res.factors:
+        np.testing.assert_allclose(f, rotation(0.35), atol=1e-12)
+
+
+def test_balanced_factorization_matches_eigh_roots():
+    rng = np.random.default_rng(24)
+    for _ in range(40):
+        d = int(rng.integers(1, 17))
+        L = int(rng.integers(1, 65))
+        a = _gamma_positive(rng, d)
+        res = balanced_factorization(a, L)
+        ref = _eigh_reference(a, L)
+        assert np.linalg.norm(res.factors - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+def test_balance_residual_matches_formula():
+    # the residual against sigma(a) ** (1/L) taken from a values-only SVD
+    rng = np.random.default_rng(25)
+    for _ in range(20):
+        d = int(rng.integers(1, 17))
+        L = int(rng.integers(1, 65))
+        a = _gamma_positive(rng, d)
+        res = balanced_factorization(a, L)
+        target = np.linalg.svd(a, compute_uv=False) ** (1.0 / L)
+        formula = np.max(np.abs(np.linalg.svd(res.factors, compute_uv=False) - target))
+        eps = np.finfo(float).eps
+        assert abs(res.balance_residual - formula) <= 4 * eps * target[0]
 
 
 def test_orthogonal_root_rotation():
@@ -65,7 +112,7 @@ def test_root_idempotence_at_one():
     np.testing.assert_allclose(principal_root_orthogonal(r, 1), r, atol=1e-12)
     b = rng.standard_normal((4, 4))
     p = sym(b @ b.T) + 0.5 * np.eye(4)
-    np.testing.assert_allclose(principal_root_spd(p, 1), p, atol=1e-12)
+    np.testing.assert_allclose(balanced_factorization(p, 1).factors[0], p, atol=1e-12)
 
 
 def test_orthogonal_root_identity_and_reflection_pair():
@@ -104,16 +151,8 @@ def test_orthogonal_root_matches_matrix_log_route():
             np.testing.assert_allclose(root, ref, atol=1e-9)
 
 
-def test_spd_root_diagonal():
-    root = principal_root_spd(np.diag([8.0, 27.0]), 3)
-    np.testing.assert_allclose(root, np.diag([2.0, 3.0]), atol=1e-12)
-    with pytest.raises(ValueError):
-        principal_root_spd(np.array([[1.0, 1.0], [0.0, 1.0]]), 2)
-    with pytest.raises(SingularInputError):
-        principal_root_spd(np.diag([1.0, 0.0]), 2)
-
-
 def test_balanced_factorization_diag():
+    # the symmetric root of diag(8, 27) is diag(2, 3), shared by all factors
     res = balanced_factorization(np.diag([8.0, 27.0]), 3)
     assert res.factors.shape == (3, 2, 2)
     for f in res.factors:

@@ -6,12 +6,112 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deeplin.lab import random_orthogonal
-from deeplin.matcore import skew, sym
+from deeplin.matcore import frob_norm, op_norm, skew, sym
 from deeplin.project import (
     IdentityBall,
     project_gamma_positive,
     project_identity_ball,
 )
+
+
+def per_layer_ball(stack, ball):
+    """Reference: the identity-ball projection one matrix at a time, with
+    the clip test on ``op_norm`` and a second, full SVD of a clipped
+    matrix."""
+    return np.stack([_ball_one(m, ball) for m in stack])
+
+
+def _ball_one(a, ball):
+    d = a.shape[0]
+    if ball.psd_constrained:
+        scale = max(frob_norm(a), 1.0)
+        if frob_norm(a - a.T) > 1e-10 * scale:
+            raise ValueError("psd-constrained projection requires symmetric input")
+        w, v = np.linalg.eigh(sym(a))
+        lo = max(0.0, 1.0 - ball.radius)
+        hi = 1.0 + ball.radius
+        if w[0] >= lo and w[-1] <= hi:
+            return a.copy()
+        return sym((v * np.clip(w, lo, hi)) @ v.T)
+    e = a - np.eye(d)
+    if op_norm(e) <= ball.radius:
+        return a.copy()
+    u, s, vt = np.linalg.svd(e)
+    return np.eye(d) + u @ (np.minimum(s, ball.radius)[:, None] * vt)
+
+
+def _assert_matches_reference(stack, ball):
+    out = project_identity_ball(stack, ball)
+    np.testing.assert_array_equal(out, per_layer_ball(stack, ball))
+    for m, o in zip(stack, out):
+        np.testing.assert_array_equal(project_identity_ball(m, ball), o)
+    return out
+
+
+def test_identity_ball_stack_all_inside():
+    rng = np.random.default_rng(40)
+    ball = IdentityBall(0.5)
+    for d, L in ((1, 3), (3, 4), (16, 64)):
+        e = rng.standard_normal((L, d, d))
+        e *= rng.uniform(0.0, 0.45, (L, 1, 1)) / np.linalg.norm(e, 2, axis=(1, 2))[:, None, None]
+        stack = np.eye(d) + e
+        np.testing.assert_array_equal(_assert_matches_reference(stack, ball), stack)
+
+
+def test_identity_ball_stack_mixed_clips():
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        d = int(rng.integers(1, 17))
+        L = int(rng.integers(2, 65))
+        ball = IdentityBall(float(rng.uniform(0.1, 1.0)))
+        stack = np.eye(d) + ball.radius * rng.uniform(0.2, 2.0, (L, 1, 1)) * (
+            rng.standard_normal((L, d, d)) / np.sqrt(d)
+        )
+        stack[0] = np.eye(d)
+        stack[1] = np.eye(d) + 3.0 * ball.radius * np.eye(d)
+        out = _assert_matches_reference(stack, ball)
+        clipped = np.any(out != stack, axis=(1, 2))
+        assert not clipped[0] and clipped[1]
+
+
+def test_identity_ball_stack_boundary_layer():
+    # a layer with ||W - I||_2 exactly the radius stays as it is
+    rng = np.random.default_rng(42)
+    for d in (2, 5, 16):
+        stack = np.eye(d) + 0.4 * rng.standard_normal((6, d, d))
+        radius = op_norm(stack[2] - np.eye(d))
+        out = _assert_matches_reference(stack, IdentityBall(radius))
+        np.testing.assert_array_equal(out[2], stack[2])
+        assert np.any(out != stack)
+
+
+def test_identity_ball_stack_psd_mode():
+    rng = np.random.default_rng(43)
+    for radius in (0.3, 1.0, 1.5):
+        ball = IdentityBall(radius, psd_constrained=True)
+        for d, L in ((2, 3), (4, 8), (16, 64)):
+            stack = sym(np.eye(d) + radius * rng.uniform(0.1, 2.0, (L, 1, 1))
+                        * rng.standard_normal((L, d, d)) / np.sqrt(d))
+            stack[0] = np.eye(d)
+            stack[1] = (2.0 + radius) * np.eye(d)
+            out = _assert_matches_reference(stack, ball)
+            np.testing.assert_array_equal(out[0], stack[0])
+            assert np.any(out[1] != stack[1])
+
+
+def test_identity_ball_stack_validation():
+    ball = IdentityBall(0.5)
+    with pytest.raises(ValueError):
+        project_identity_ball(np.zeros((2, 2, 3)), ball)
+    with pytest.raises(ValueError):
+        project_identity_ball(np.zeros((0, 2, 2)), ball)
+    with pytest.raises(ValueError):
+        project_identity_ball(np.full((2, 2, 2), np.nan), ball)
+    with pytest.raises(ValueError):
+        project_identity_ball(np.zeros((2, 17, 17)), ball)
+    one_asymmetric = np.stack([np.eye(2), [[1.0, 1.0], [0.0, 1.0]]])
+    with pytest.raises(ValueError, match="symmetric"):
+        project_identity_ball(one_asymmetric, IdentityBall(0.5, psd_constrained=True))
 
 
 def test_gamma_positive_frozen_example():

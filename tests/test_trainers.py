@@ -8,6 +8,7 @@ on 1.1, and the second step lands them on 1.1 + 0.1 * 1.1 * 0.79 = 1.1869.
 import numpy as np
 import pytest
 
+from deeplin import trainers
 from deeplin.errors import ConfigError
 from deeplin.network import DeepLinearNet, full_gradient
 from deeplin.trainers import (
@@ -22,6 +23,7 @@ from deeplin.trainers import (
     step_size_power_projection,
     step_size_symmetric_target,
 )
+from test_project import per_layer_ball
 
 
 def scalar_cfg(**kw):
@@ -257,6 +259,41 @@ def test_step_and_project_stays_in_ball():
         for m in layers:
             dev = np.linalg.svd(m - np.eye(2), compute_uv=False)[0]
             assert dev <= 0.3 + 1e-12
+
+
+def test_step_and_project_matches_per_layer_reference(monkeypatch):
+    # the stacked projection gives the trace of the one-layer-at-a-time loop
+    rng = np.random.default_rng(50)
+    fields = ("losses", "loss_halves", "radii", "min_svs", "max_norms", "u_stats",
+              "eigenvalues", "layers", "etas", "final_layers", "status")
+    for _ in range(8):
+        d = int(rng.integers(1, 7))
+        L = int(rng.integers(1, 9))
+        phi = np.eye(d) + rng.standard_normal((d, d))
+        cfg = TrainerConfig(
+            "step_and_project", d, L, StepSchedule("constant", float(rng.uniform(0.01, 0.2))),
+            gamma=float(rng.uniform(0.5, 1.5)), psi=float(rng.uniform(0.05, 1.0)),
+            max_iters=40, record_spectra=True, record_layers=True,
+        )
+        trace = run_step_and_project(phi, cfg)
+        with monkeypatch.context() as m:
+            m.setattr(trainers, "project_identity_ball", per_layer_ball)
+            ref = run_step_and_project(phi, cfg)
+        for name in fields:
+            np.testing.assert_array_equal(getattr(trace, name), getattr(ref, name))
+
+
+def test_recorded_layers_are_capped():
+    # (max_iters + 1) L d^2 entries of snapshots would be about 26 GB here
+    cfg = TrainerConfig("gd", 16, 64, StepSchedule("constant", 0.01),
+                        max_iters=100000, record_layers=True)
+    with pytest.raises(ConfigError, match="record_layers"):
+        cfg.validate()
+    TrainerConfig("gd", 16, 64, StepSchedule("constant", 0.01),
+                  max_iters=100000).validate()
+    # criteria 5 and 9 record about 360k entries, well inside the cap
+    TrainerConfig("gd", 3, 8, StepSchedule("constant", 0.01), max_iters=5000,
+                  record_layers=True).validate()
 
 
 def test_step_and_project_zero_radius_pins_identity():
