@@ -151,6 +151,20 @@ def test_orthogonal_root_matches_matrix_log_route():
             np.testing.assert_allclose(root, ref, atol=1e-9)
 
 
+def test_spd_root_diagonal():
+    # an SPD input has identity polar rotation, so every balanced factor is
+    # its principal symmetric root: q diag(8, 27) q^T -> q diag(2, 3) q^T
+    q = rotation(0.3)
+    res = balanced_factorization(q @ np.diag([8.0, 27.0]) @ q.T, 3)
+    for f in res.factors:
+        np.testing.assert_allclose(f, f.T, atol=1e-12)
+        np.testing.assert_allclose(f, q @ np.diag([2.0, 3.0]) @ q.T, atol=1e-12)
+    with pytest.raises(ValueError):
+        balanced_factorization(np.ones((2, 3)), 2)
+    with pytest.raises(SingularInputError):
+        balanced_factorization(np.diag([1.0, 0.0]), 2)
+
+
 def test_balanced_factorization_diag():
     # the symmetric root of diag(8, 27) is diag(2, 3), shared by all factors
     res = balanced_factorization(np.diag([8.0, 27.0]), 3)
