@@ -55,8 +55,9 @@ def sym(a) -> np.ndarray:
 
 
 def skew(a) -> np.ndarray:
+    """Skew-symmetric part of a matrix, or of each matrix of a stack."""
     a = np.asarray(a, dtype=float)
-    return (a - a.T) / 2.0
+    return (a - np.swapaxes(a, -1, -2)) / 2.0
 
 
 def rotation(theta: float) -> np.ndarray:

@@ -40,6 +40,9 @@ DIVERGE_LOSS = 1e12
 # Cap on the (max_iters + 1) * L * d^2 entries that record_layers may keep:
 # 128 MiB of float64, the size of the largest Hessian.
 _MAX_RECORDED_ENTRIES = matcore.MAX_HESSIAN_SIDE**2
+# The recorder takes its statistics in chunks of about this many layer
+# entries (256 KiB of float64), at least one iterate per chunk.
+_CHUNK_ENTRIES = 2**15
 
 _ALGORITHMS = ("gd", "power_projection", "step_and_project", "penalty_gd")
 
@@ -215,52 +218,93 @@ def _prepare(phi, cfg: TrainerConfig, algorithm: str) -> np.ndarray:
 
 
 class _Recorder:
-    """Per-iterate trace rows and the running radius and norm statistics;
-    ``columns`` turns the rows into the trace's columns once, at the end."""
+    """Trace rows and the running radius and norm statistics, taken a chunk
+    of iterates at a time.
+
+    ``add`` records the losses and copies the layers (and, with spectra, the
+    loss product) into a chunk buffer of ``_CHUNK_ENTRIES // (L d^2)``
+    iterates, at least one.  A flush takes the chunk's statistics with one
+    values-only SVD of the layers, one of the layers minus I and one batched
+    ``eigvals``; each matrix still goes through the same LAPACK call, so the
+    values are those of per-iterate calls.  ``radius`` flushes first.
+    Recorded layers grow in place by one chunk per flush, so the snapshots
+    are held once; ``columns`` hands them to the trace without a copy.
+    """
 
     def __init__(self, phi: np.ndarray, cfg: TrainerConfig):
-        self.cfg = cfg
-        self.eye = np.eye(cfg.d)
-        self.radius = 0.0
-        self.u_stat = op_norm(phi) ** (1.0 / cfg.L)
-        self.rows: list = []
+        d, L = cfg.d, cfg.L
+        chunk = max(1, _CHUNK_ENTRIES // (L * d * d))
+        self.eye = np.eye(d)
+        self.buf = np.empty((chunk, L, d, d))
+        self.prods = np.empty((chunk, d, d)) if cfg.record_spectra else None
+        # rows: loss, half-step loss, radius, min sv, max norm, U_t
+        self.table = np.empty((6, chunk))
+        self.n = 0
+        self.tables: list = []
         self.spectra: list = []
-        self.layers: list = []
+        self.layers = np.empty((0, L, d, d)) if cfg.record_layers else None
+        self.carry = (0.0, op_norm(phi) ** (1.0 / L))
 
     def add(self, layers, prod, loss_val, loss_half):
-        sv = np.linalg.svd(layers, compute_uv=False)
-        dev = np.linalg.svd(layers - self.eye, compute_uv=False)
-        min_sv, max_norm = float(sv.min()), float(sv.max())
-        self.radius = max(self.radius, float(dev.max()))
-        self.u_stat = max(self.u_stat, max_norm)
-        self.rows.append((
-            loss_val, np.nan if loss_half is None else loss_half,
-            self.radius, min_sv, max_norm, self.u_stat,
-        ))
-        if self.cfg.record_spectra:
-            self.spectra.append(np.sort_complex(np.linalg.eigvals(prod)))
-        if self.cfg.record_layers:
-            self.layers.append(layers)
+        n = self.n
+        self.buf[n] = layers
+        if self.prods is not None:
+            self.prods[n] = prod
+        self.table[:2, n] = loss_val, np.nan if loss_half is None else loss_half
+        self.n = n + 1
+        if self.n == len(self.buf):
+            self._flush()
+
+    @property
+    def radius(self) -> float:
+        """The running radius R_t up to the last added iterate."""
+        self._flush()
+        return float(self.carry[0])
+
+    def _flush(self):
+        n, self.n = self.n, 0
+        if n == 0:
+            return
+        chunk, table = self.buf[:n], self.table[:, :n]
+        sv = np.linalg.svd(chunk, compute_uv=False).reshape(n, -1)
+        dev = np.linalg.svd(chunk - self.eye, compute_uv=False).reshape(n, -1)
+        table[3], table[4] = sv.min(axis=1), sv.max(axis=1)
+        # running maxima, seeded with the values carried from the last chunk
+        np.maximum(np.maximum.accumulate(dev.max(axis=1)), self.carry[0], out=table[2])
+        np.maximum(np.maximum.accumulate(table[4]), self.carry[1], out=table[5])
+        self.carry = (table[2, -1], table[5, -1])
+        self.tables.append(table.copy())
+        if self.prods is not None:
+            self.spectra.append(np.sort_complex(np.linalg.eigvals(self.prods[:n])))
+        if self.layers is not None:
+            m = len(self.layers)
+            # in place (realloc): no view of the snapshots is alive here
+            self.layers.resize((m + n, *chunk.shape[1:]), refcheck=False)
+            self.layers[m:] = chunk
 
     def columns(self) -> tuple:
         """The rows as the trace's columns, in its field order."""
-        stats = np.array(self.rows, dtype=float).reshape(-1, 6).T.copy()
-        return (*stats, *(np.array(c) if c else None for c in (self.spectra, self.layers)))
+        self._flush()
+        stats = np.concatenate([np.empty((6, 0)), *self.tables], axis=1)
+        spectra = np.concatenate(self.spectra) if self.spectra else None
+        layers = self.layers if self.layers is not None and len(self.layers) else None
+        return (*stats, spectra, layers)
 
 
 def _step_size(phi: np.ndarray, cfg: TrainerConfig):
-    """The schedule as a function of (t, running radius, loss)."""
+    """The schedule as a function of (t, recorder, loss); only the
+    admissible bound reads the recorder's running radius."""
     schedule = cfg.schedule
     if schedule.mode == "admissible" or (
         schedule.mode == "default" and cfg.algorithm == "gd"
     ):
         phi_op_sq = op_norm(phi) ** 2
-        return lambda t, radius, loss_val: admissible_step(
-            cfg.d, cfg.L, phi_op_sq, radius, loss_val
+        return lambda t, rec, loss_val: admissible_step(
+            cfg.d, cfg.L, phi_op_sq, rec.radius, loss_val
         )
     if schedule.mode == "default":
         schedule = StepSchedule("constant", step_size_power_projection(phi, cfg.L))
-    return lambda t, radius, loss_val: schedule.step(t)
+    return lambda t, rec, loss_val: schedule.step(t)
 
 
 def _plain_step(layers, grads, eta):
@@ -277,7 +321,9 @@ def _train(
     the next iterate, the product its loss is taken from (None for the
     layers' own product), and the half-step loss to record with it.
     ``prod`` plays the same role for the start.  Layers are never modified
-    in place, so the recorder may keep them until the run ends.
+    in place, so the last finite iterate is kept by reference; the recorder
+    copies each iterate into its chunk buffer and takes the statistics a
+    chunk at a time, flushing early only when the schedule reads the radius.
     """
     step_size = _step_size(phi, cfg)
     rec = _Recorder(phi, cfg)
@@ -304,7 +350,7 @@ def _train(
             break
         if t == cfg.max_iters:
             break
-        eta = step_size(t, rec.radius, loss_val)
+        eta = step_size(t, rec, loss_val)
         etas.append(eta)
         layers = update(layers, layer_gradients(pre, suf, residual), eta)
         if not np.all(np.isfinite(layers)):

@@ -36,6 +36,15 @@ def test_sym_skew_split():
     np.testing.assert_array_equal(skew(a), -skew(a).T)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_sym_skew_split_stack(n):
+    # a square stack (n = 3) must not be transposed along its batch axis
+    a = np.random.default_rng(4).standard_normal((n, 3, 3))
+    for part in (sym, skew):
+        np.testing.assert_array_equal(part(a), [part(m) for m in a])
+    np.testing.assert_allclose(sym(a) + skew(a), a, atol=0.0)
+
+
 def test_rotation_block():
     r = rotation(np.pi / 2)
     np.testing.assert_allclose(r, [[0.0, -1.0], [1.0, 0.0]], atol=1e-15)

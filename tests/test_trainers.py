@@ -5,16 +5,21 @@ layers (1, 1) both layer gradients equal -1, so one step lands both layers
 on 1.1, and the second step lands them on 1.1 + 0.1 * 1.1 * 0.79 = 1.1869.
 """
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from deeplin import trainers
 from deeplin.errors import ConfigError
+from deeplin.matcore import op_norm
 from deeplin.network import DeepLinearNet, full_gradient
 from deeplin.trainers import (
     DIVERGE_LOSS,
     StepSchedule,
     TrainerConfig,
+    TrainingTrace,
     admissible_step,
     run_gd,
     run_penalty_gd,
@@ -385,3 +390,135 @@ def test_spectra_recording():
     assert trace.eigenvalues.shape == (len(trace.losses), 2)
     # diagonal dynamics keep the spectrum real
     assert np.abs(np.imag(trace.eigenvalues[-1])).max() == 0.0
+
+
+class PerIterateRecorder:
+    """The recorder before chunking, kept as the oracle of the chunked one:
+    two values-only SVD calls per iterate, one ``eigvals`` call with
+    spectra, and the running maxima as Python floats."""
+
+    def __init__(self, phi, cfg):
+        self.cfg = cfg
+        self.eye = np.eye(cfg.d)
+        self.radius = 0.0
+        self.u_stat = op_norm(phi) ** (1.0 / cfg.L)
+        self.rows = []
+        self.spectra = []
+        self.layers = []
+
+    def add(self, layers, prod, loss_val, loss_half):
+        sv = np.linalg.svd(layers, compute_uv=False)
+        dev = np.linalg.svd(layers - self.eye, compute_uv=False)
+        min_sv, max_norm = float(sv.min()), float(sv.max())
+        self.radius = max(self.radius, float(dev.max()))
+        self.u_stat = max(self.u_stat, max_norm)
+        self.rows.append((
+            loss_val, np.nan if loss_half is None else loss_half,
+            self.radius, min_sv, max_norm, self.u_stat,
+        ))
+        if self.cfg.record_spectra:
+            self.spectra.append(np.sort_complex(np.linalg.eigvals(prod)))
+        if self.cfg.record_layers:
+            self.layers.append(layers)
+
+    def columns(self):
+        stats = np.array(self.rows, dtype=float).reshape(-1, 6).T.copy()
+        return (*stats, *(np.array(c) if c else None for c in (self.spectra, self.layers)))
+
+
+def assert_traces_bitwise_equal(trace, ref):
+    for f in dataclasses.fields(TrainingTrace):
+        a, b = getattr(trace, f.name), getattr(ref, f.name)
+        if isinstance(b, (np.ndarray, list, tuple)):
+            a, b = np.asarray(a), np.asarray(b)
+            assert (a.shape, a.dtype) == (b.shape, b.dtype), f.name
+            assert a.tobytes() == b.tobytes(), f.name
+        else:
+            assert a == b, f.name
+
+
+# d=2, L=3 runs with CHUNK iterates per chunk; the target has complex
+# eigenvalues, so a chunk of spectra mixes real and complex rows
+CHUNK = 5
+TARGET = np.array([[1.2, -0.5], [0.5, 1.0]])
+ALGORITHM_ARGS = {
+    "gd": {},
+    "penalty_gd": dict(kappa=0.2),
+    "step_and_project": dict(gamma=1.0, psi=0.3),
+    "power_projection": dict(gamma=0.5),
+}
+CHUNKED_CASES = [
+    pytest.param(alg, rows, spectra, layers,
+                 id=f"{alg}-rows{rows}-spectra{int(spectra)}-layers{int(layers)}")
+    for alg in ALGORITHM_ARGS
+    for rows in (CHUNK - 1, CHUNK, CHUNK + 1)
+    for spectra in (False, True)
+    for layers in (False, True)
+]
+
+
+def run_with_both_recorders(monkeypatch, phi, cfg, chunk):
+    runner = RUNNERS[cfg.algorithm]
+    monkeypatch.setattr(trainers, "_CHUNK_ENTRIES", chunk * cfg.L * cfg.d**2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = runner(phi, cfg)
+        with monkeypatch.context() as m:
+            m.setattr(trainers, "_Recorder", PerIterateRecorder)
+            ref = runner(phi, cfg)
+    assert_traces_bitwise_equal(trace, ref)
+    return trace
+
+
+@pytest.mark.parametrize("algorithm, rows, spectra, layers", CHUNKED_CASES)
+def test_chunked_recorder_matches_per_iterate_reference(
+    monkeypatch, algorithm, rows, spectra, layers
+):
+    cfg = TrainerConfig(
+        algorithm, 2, 3, StepSchedule("constant", 0.05), max_iters=rows - 1,
+        record_spectra=spectra, record_layers=layers, **ALGORITHM_ARGS[algorithm],
+    )
+    trace = run_with_both_recorders(monkeypatch, TARGET, cfg, CHUNK)
+    assert len(trace.losses) == rows
+
+
+def test_chunked_recorder_stops_mid_chunk(monkeypatch):
+    both = dict(record_spectra=True, record_layers=True)
+    # converged on epsilon at row 12, two rows into the third chunk
+    base = TrainerConfig("gd", 2, 3, StepSchedule("constant", 0.05), max_iters=30, **both)
+    eps = run_gd(TARGET, base).losses[12]
+    trace = run_with_both_recorders(
+        monkeypatch, TARGET, dataclasses.replace(base, epsilon=eps), CHUNK)
+    assert (trace.status, len(trace.losses)) == ("converged", 13)
+    # diverged on the loss after 4 rows, and on a non-finite step after 1
+    for eta, rows in ((0.4, 4), (1e308, 1)):
+        cfg = TrainerConfig("gd", 1, 3, StepSchedule("constant", eta), max_iters=50, **both)
+        trace = run_with_both_recorders(monkeypatch, np.array([[3.0]]), cfg, 3)
+        assert (trace.status, len(trace.losses)) == ("diverged", rows)
+
+
+@pytest.mark.parametrize("mode", ["admissible", "default"])
+def test_chunked_recorder_radius_feeds_admissible_steps(monkeypatch, mode):
+    # the admissible bound reads the running radius every step, so the
+    # recorder flushes every step; the etas must not move either.  With
+    # ||phi||_2 < 1 the bound depends on the radius from the first step.
+    cfg = TrainerConfig("gd", 2, 3, StepSchedule(mode), max_iters=3 * CHUNK + 2,
+                        record_spectra=True, record_layers=True)
+    trace = run_with_both_recorders(monkeypatch, TARGET / 2, cfg, CHUNK)
+    assert len(trace.etas) == 3 * CHUNK + 2
+
+
+def test_recorded_layers_are_held_once():
+    # the snapshots grow in place a chunk at a time; stacking a list of
+    # per-iterate copies at the end used to peak at twice their size
+    d, L = 16, 64
+    cfg = TrainerConfig("gd", d, L, StepSchedule("constant", 1e-3), max_iters=200,
+                        record_layers=True)
+    tracemalloc.start()
+    try:
+        trace = run_gd(1.1 * np.eye(d), cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    snapshots = trace.layers.nbytes
+    assert snapshots == 201 * L * d * d * 8
+    assert peak <= snapshots + 4 * 2**20
