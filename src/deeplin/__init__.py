@@ -1,5 +1,7 @@
 """Numerical laboratory for training dynamics of deep linear networks."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     ConfigError,
     DeeplinError,
@@ -71,57 +73,8 @@ from .verify import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CheckReport",
-    "ConfigError",
-    "DeepLinearNet",
-    "DeeplinError",
-    "FactorizationResult",
-    "IdentityBall",
-    "NoRealRootError",
-    "NumericError",
-    "ScenarioConfig",
-    "ScenarioReport",
-    "SingularInputError",
-    "StepSchedule",
-    "TargetSpec",
-    "TrainerConfig",
-    "TrainingTrace",
-    "balanced_factorization",
-    "check_commuting_normal",
-    "check_gradient_lower_bound",
-    "check_hessian_upper_bound",
-    "eigen_recurrence_check",
-    "end_to_end",
-    "fd_gradient_check",
-    "fd_hessian_check",
-    "full_gradient",
-    "full_hessian",
-    "gamma_margin",
-    "load_scenario",
-    "loss",
-    "make_target",
-    "op_norm",
-    "principal_root_orthogonal",
-    "project_gamma_positive",
-    "project_identity_ball",
-    "random_orthogonal",
-    "read_matrix_csv",
-    "run_gd",
-    "run_penalty_gd",
-    "run_power_projection",
-    "run_scenario",
-    "run_step_and_project",
-    "scenario_from_dict",
-    "simulate_scalar_recurrence",
-    "singular_values",
-    "skew",
-    "step_size_power_projection",
-    "step_size_symmetric_target",
-    "sweep",
-    "sym",
-    "trace_recurrence_check",
-    "verify_all",
-    "write_matrix_csv",
-    "write_trace_csv",
-]
+# the public names are those imported above: no module, no underscore name
+__all__ = sorted(
+    name for name, obj in globals().items()
+    if not (name.startswith("_") or isinstance(obj, _ModuleType))
+)

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NoRealRootError, NumericError, SingularInputError
-from .matcore import as_mat, cond_estimate, frob_norm, require_square, rotation, singular_values, sym
+from .matcore import as_mat, cond_estimate, frob_norm, rotation, singular_values, sym
 
 ORTHO_TOL = 1e-8
 # Schur block angles within this of +-pi count as an eigenvalue at -1.
@@ -58,7 +58,7 @@ def principal_root_orthogonal(r, L: int) -> np.ndarray:
     divided by L.
     """
     r = as_mat(r)
-    d = require_square(r)
+    d = len(r)
     if not isinstance(L, (int, np.integer)) or L < 1:
         raise ValueError("L must be a positive integer")
     if frob_norm(r.T @ r - np.eye(d)) > ORTHO_TOL * d:
@@ -106,7 +106,6 @@ def balanced_factorization(a, L: int) -> FactorizationResult:
     SingularInputError; a failed reconstruction raises NumericError.
     """
     a = as_mat(a)
-    require_square(a)
     if not isinstance(L, (int, np.integer)) or L < 1:
         raise ValueError("L must be a positive integer")
     try:

@@ -30,17 +30,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .matcore import MAX_DIM, as_mat, frob_norm, require_square, rotation, sym
+from .matcore import MAX_DIM, as_mat, frob_norm, rotation, sym
 from .project import gamma_margin
-from .trainers import (
-    StepSchedule,
-    TrainerConfig,
-    TrainingTrace,
-    run_gd,
-    run_penalty_gd,
-    run_power_projection,
-    run_step_and_project,
-)
+from .trainers import RUNNERS, StepSchedule, TrainerConfig, TrainingTrace
 from .verify import (
     CheckReport,
     check_commuting_normal,
@@ -83,13 +75,6 @@ CHECK_NAMES = (*_NET_CHECKS, *_TRACE_CHECKS)
 # The step-size formulas square the target's norm, which overflows past
 # about 1e154; from the identity start such a target diverges at t = 0.
 MAX_TARGET_NORM = 1e150
-
-RUNNERS = {
-    "gd": run_gd,
-    "power_projection": run_power_projection,
-    "step_and_project": run_step_and_project,
-    "penalty_gd": run_penalty_gd,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +300,7 @@ def write_trace_csv(trace: TrainingTrace, path):
 
 def write_matrix_csv(a, path):
     a = as_mat(a)
-    d = require_square(a)
-    lines = [f"d,{d}"]
+    lines = [f"d,{len(a)}"]
     for row in a:
         lines.append(",".join(_fmt(v) for v in row))
     Path(path).write_text("\n".join(lines) + "\n")

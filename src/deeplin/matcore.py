@@ -2,9 +2,12 @@
 
 Conventions that the rest of the package relies on:
 
-* Matrices are float64 ndarrays, treated as immutable once validated.
-* Dimensions are desk scale.  ``as_mat`` and the domain constructors enforce
-  the bounds below at construction time.
+* Matrices are square float64 ndarrays, treated as immutable once
+  validated; a stack holds n of them along a leading axis.
+* Dimensions are desk scale.  ``as_mat`` and ``as_stack`` are the one
+  place that checks shape, finiteness and the dimension bound below;
+  ``DeepLinearNet`` adds the layer-count bound.
+* ``is_symmetric`` is the package's one symmetry test.
 * Tolerances are relative to the Frobenius scale of the operands with an
   absolute floor of ``ABS_FLOOR``.
 """
@@ -24,16 +27,14 @@ MAX_HESSIAN_SIDE = 4096
 ABS_FLOOR = 1e-12
 
 
-def as_mat(a, name: str = "matrix") -> np.ndarray:
-    """Validate ``a`` as a dense 2-D float64 matrix and return it.
-
-    Rejects non-2D input, non-finite entries, and dimensions beyond the
-    configured bound.
-    """
+def _checked(a, ndim: int, name: str) -> np.ndarray:
+    """``a`` as a nonempty float64 array of ``ndim`` axes whose last two are
+    equal and at most MAX_DIM, with finite entries."""
     out = np.asarray(a, dtype=float)
-    if out.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {out.shape}")
-    if out.shape[0] > MAX_DIM or out.shape[1] > MAX_DIM:
+    if out.ndim != ndim or out.size == 0 or out.shape[-1] != out.shape[-2]:
+        layout = "(d, d)" if ndim == 2 else "(n, d, d)"
+        raise ValueError(f"{name} must have a nonempty {layout} shape, got {out.shape}")
+    if out.shape[-1] > MAX_DIM:
         raise ValueError(
             f"{name} has shape {out.shape}, beyond the configured bound {MAX_DIM}"
         )
@@ -42,10 +43,22 @@ def as_mat(a, name: str = "matrix") -> np.ndarray:
     return out
 
 
-def require_square(a: np.ndarray, name: str = "matrix") -> int:
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {a.shape}")
-    return a.shape[0]
+def as_mat(a, name: str = "matrix") -> np.ndarray:
+    """Validate ``a`` as a square float64 matrix and return it."""
+    return _checked(a, 2, name)
+
+
+def as_stack(a, name: str = "stack") -> np.ndarray:
+    """Validate ``a`` as a nonempty (n, d, d) float64 stack and return it."""
+    return _checked(a, 3, name)
+
+
+def is_symmetric(a):
+    """Whether ``a`` is symmetric: ||A - A^T||_F <= 1e-10 max(||A||_F, 1).
+    One answer for a matrix, one per matrix of a stack."""
+    a = np.asarray(a, dtype=float)
+    asym = np.linalg.norm(a - np.swapaxes(a, -1, -2), axis=(-2, -1))
+    return asym <= 1e-10 * np.maximum(np.linalg.norm(a, axis=(-2, -1)), 1.0)
 
 
 def sym(a) -> np.ndarray:

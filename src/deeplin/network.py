@@ -3,12 +3,14 @@
 Layers are one read-only (L, d, d) float64 stack, and the gradient is a
 stack of the same shape.  The model applies layer 1 first, so the
 end-to-end map is the reversed matrix product ``layers[L-1] @ ... @
-layers[0]``.  Layer indices in the formulas below are 1-based; P[k] and
-S[k] are the prefix and suffix products of ``prefix_suffix_products``.
+layers[0]``, which ``product`` forms.  Layer indices in the formulas below
+are 1-based; P[k] and S[k] are the prefix and suffix products of
+``prefix_suffix_products``.
 
-The loss is ``0.5 * ||product - target||_F^2``.  Derivative formulas below
-are exact for this convention; the second-derivative matrix flattens the
-layers layer-major and column-major inside each layer.
+The loss is ``0.5 * ||product - target||_F^2``, ``residual_loss`` of the
+residual.  Derivative formulas below are exact for this convention; the
+second-derivative matrix flattens the layers layer-major and column-major
+inside each layer.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import MAX_DIM, MAX_HESSIAN_SIDE, MAX_LAYERS, as_mat
+from .matcore import MAX_HESSIAN_SIDE, MAX_LAYERS, as_mat, as_stack
 
 
 @dataclass(frozen=True)
@@ -30,20 +32,9 @@ class DeepLinearNet:
 
     def __post_init__(self):
         # ragged layers raise ValueError here
-        layers = np.array(self.layers, dtype=float)
-        if layers.ndim != 3 or len(layers) == 0:
-            raise ValueError(
-                f"need a nonempty (L, d, d) stack of layers, got shape {layers.shape}"
-            )
-        L, d, cols = layers.shape
-        if L > MAX_LAYERS:
-            raise ValueError(f"{L} layers exceeds the bound {MAX_LAYERS}")
-        if d != cols:
-            raise ValueError(f"layers must be square, got shape {(d, cols)}")
-        if d > MAX_DIM:
-            raise ValueError(f"layer dimension {d} exceeds the bound {MAX_DIM}")
-        if not np.all(np.isfinite(layers)):
-            raise ValueError("layers have non-finite entries")
+        layers = as_stack(np.array(self.layers, dtype=float), name="layers")
+        if len(layers) > MAX_LAYERS:
+            raise ValueError(f"{len(layers)} layers exceeds the bound {MAX_LAYERS}")
         layers.flags.writeable = False
         object.__setattr__(self, "layers", layers)
 
@@ -88,16 +79,30 @@ def layer_gradients(pre: np.ndarray, suf: np.ndarray, residual: np.ndarray) -> n
     return suf[1:].transpose(0, 2, 1) @ residual @ pre[:-1].transpose(0, 2, 1)
 
 
+def product(layers) -> np.ndarray:
+    """The end-to-end map of an (..., L, d, d) array of layers, one per
+    leading index: ``layers[..., k, :, :] @ prod`` for k = 0..L-1 from the
+    identity, the association of the prefix products."""
+    layers = np.asarray(layers)
+    prod = np.eye(layers.shape[-1])
+    for k in range(layers.shape[-3]):
+        prod = layers[..., k, :, :] @ prod
+    return prod
+
+
+def residual_loss(residual) -> float:
+    """The loss of a residual R = product - target: 0.5 ||R||_F^2."""
+    return 0.5 * float(np.sum(residual * residual))
+
+
 def end_to_end(net: DeepLinearNet) -> np.ndarray:
     """The full product ``layers[L-1] @ ... @ layers[0]``."""
-    pre, _ = prefix_suffix_products(net.layers)
-    return pre[net.L]
+    return product(net.layers)
 
 
 def loss(net: DeepLinearNet, phi) -> float:
     """Half squared Frobenius distance between the end-to-end map and ``phi``."""
-    residual = end_to_end(net) - _target(net, phi)
-    return 0.5 * float(np.sum(residual * residual))
+    return residual_loss(end_to_end(net) - _target(net, phi))
 
 
 def full_gradient(net: DeepLinearNet, phi) -> np.ndarray:

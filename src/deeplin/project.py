@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import MAX_DIM, as_mat, require_square, singular_values, skew, sym
+from .matcore import as_mat, as_stack, is_symmetric, singular_values, skew, sym
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,6 @@ def gamma_margin(phi) -> float:
     """Smallest eigenvalue of the symmetric part: the largest gamma for
     which ``phi`` lies in the gamma-positive set."""
     phi = as_mat(phi)
-    require_square(phi)
     return float(np.linalg.eigvalsh(sym(phi))[0])
 
 
@@ -52,31 +51,12 @@ def project_gamma_positive(a, gamma: float) -> np.ndarray:
     if not gamma > 0.0:
         raise ValueError("gamma must be positive")
     a = as_mat(a)
-    require_square(a)
     s = sym(a)
     w, v = np.linalg.eigh(s)
     if w[0] >= gamma:
         return a.copy()
     clipped = (v * np.maximum(w, gamma)) @ v.T
     return sym(clipped) + skew(a)
-
-
-def _square_stack(a) -> np.ndarray:
-    """``a`` as a float (n, d, d) stack: an (L, d, d) stack as given, one
-    square matrix as a stack of one (validated as ``as_mat`` does)."""
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim != 3:
-        arr = as_mat(arr)
-        require_square(arr)
-        return arr[None]
-    n, d, cols = arr.shape
-    if n == 0 or d != cols:
-        raise ValueError(f"need a nonempty stack of square matrices, got shape {arr.shape}")
-    if d > MAX_DIM:
-        raise ValueError(f"stack has shape {arr.shape}, beyond the configured bound {MAX_DIM}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("stack has non-finite entries")
-    return arr
 
 
 def project_identity_ball(a, ball: IdentityBall) -> np.ndarray:
@@ -90,13 +70,11 @@ def project_identity_ball(a, ball: IdentityBall) -> np.ndarray:
     clips eigenvalues onto [max(0, 1 - radius), 1 + radius]; the result then
     commutes with the input.  Feasible matrices are returned unchanged.
     """
-    stack = _square_stack(a)
+    stack = as_stack(a) if np.ndim(a) == 3 else as_mat(a)[None]
     out = stack.copy()
     d = stack.shape[-1]
     if ball.psd_constrained:
-        scale = np.maximum(np.linalg.norm(stack, axis=(1, 2)), 1.0)
-        asym = np.linalg.norm(stack - np.swapaxes(stack, 1, 2), axis=(1, 2))
-        if np.any(asym > 1e-10 * scale):
+        if not np.all(is_symmetric(stack)):
             raise ValueError("psd-constrained projection requires symmetric input")
         w, v = np.linalg.eigh(sym(stack))
         lo = max(0.0, 1.0 - ball.radius)

@@ -33,7 +33,7 @@ from . import matcore
 from .errors import ConfigError
 from .factor import balanced_factorization
 from .matcore import as_mat, frob_norm, op_norm
-from .network import layer_gradients, prefix_suffix_products
+from .network import layer_gradients, prefix_suffix_products, product, residual_loss
 from .project import IdentityBall, gamma_margin, project_gamma_positive, project_identity_ball
 
 DIVERGE_LOSS = 1e12
@@ -43,9 +43,6 @@ _MAX_RECORDED_ENTRIES = matcore.MAX_HESSIAN_SIDE**2
 # The recorder takes its statistics in chunks of about this many layer
 # entries (256 KiB of float64), at least one iterate per chunk.
 _CHUNK_ENTRIES = 2**15
-
-_ALGORITHMS = ("gd", "power_projection", "step_and_project", "penalty_gd")
-
 
 @dataclass(frozen=True)
 class StepSchedule:
@@ -110,7 +107,7 @@ class TrainerConfig:
     penalty_canonical: bool = True
 
     def validate(self):
-        if self.algorithm not in _ALGORITHMS:
+        if self.algorithm not in RUNNERS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         if not 1 <= self.d <= matcore.MAX_DIM:
             raise ConfigError(f"d={self.d} outside [1, {matcore.MAX_DIM}]")
@@ -209,12 +206,11 @@ def _prepare(phi, cfg: TrainerConfig, algorithm: str) -> np.ndarray:
     cfg.validate()
     if cfg.algorithm != algorithm:
         raise ConfigError(f"run_{algorithm} requires algorithm tag {algorithm!r}")
-    phi = as_mat(phi, name="target")
-    if phi.shape != (cfg.d, cfg.d):
+    if np.shape(phi) != (cfg.d, cfg.d):
         raise ConfigError(
-            f"target shape {phi.shape} does not match configured d={cfg.d}"
+            f"target shape {np.shape(phi)} does not match configured d={cfg.d}"
         )
-    return phi
+    return as_mat(phi, name="target")
 
 
 class _Recorder:
@@ -339,7 +335,7 @@ def _train(
             prod, loss_residual = pre[-1], residual
         else:
             loss_residual = prod - phi
-        loss_val = 0.5 * float(np.sum(loss_residual * loss_residual))
+        loss_val = residual_loss(loss_residual)
         if not np.isfinite(loss_val) or loss_val > DIVERGE_LOSS:
             status = "diverged"
             break
@@ -395,16 +391,12 @@ def run_power_projection(phi, cfg: TrainerConfig) -> TrainingTrace:
         )
 
     def settle(half):
-        # the same association as the loop's prefix products, without the
-        # suffix products the loss does not need
-        prod_half = np.eye(cfg.d)
-        for m in half:
-            prod_half = m @ prod_half
-        loss_half = 0.5 * float(np.sum((prod_half - phi) ** 2))
+        prod_half = product(half)
+        loss_half = residual_loss(prod_half - phi)
         projected = prod_half
         if np.all(np.isfinite(prod_half)):
             projected = project_gamma_positive(prod_half, cfg.gamma)
-        if not 0.5 * np.sum((projected - phi) ** 2) <= DIVERGE_LOSS:
+        if not residual_loss(projected - phi) <= DIVERGE_LOSS:
             # the loop's loss test ends the run on this product, which may
             # be too large to refactor
             return half, projected, loss_half
@@ -447,3 +439,12 @@ def run_penalty_gd(phi, cfg: TrainerConfig) -> TrainingTrace:
         return layers - eta * (grads + kappa * (layers - eye))
 
     return _train(phi, cfg, update=update)
+
+
+# the runner of each algorithm tag, and the tags ``TrainerConfig`` accepts
+RUNNERS = {
+    "gd": run_gd,
+    "power_projection": run_power_projection,
+    "step_and_project": run_step_and_project,
+    "penalty_gd": run_penalty_gd,
+}

@@ -29,8 +29,10 @@ from functools import partial
 
 import numpy as np
 
-from .matcore import ABS_FLOOR, MAX_HESSIAN_SIDE, frob_norm, op_norm, singular_values, sym
-from .network import DeepLinearNet, full_gradient, full_hessian, loss
+from .matcore import (
+    ABS_FLOOR, MAX_HESSIAN_SIDE, frob_norm, is_symmetric, op_norm, singular_values, sym,
+)
+from .network import DeepLinearNet, full_gradient, full_hessian, loss, product
 from .trainers import TrainingTrace
 
 SLACK = 1e-12
@@ -258,10 +260,6 @@ def check_hessian_upper_bound(net: DeepLinearNet, phi) -> CheckReport:
 _frobs = partial(np.linalg.norm, axis=(-2, -1))
 
 
-def _symmetric(phi: np.ndarray) -> bool:
-    return frob_norm(phi - phi.T) <= 1e-10 * max(frob_norm(phi), 1.0)
-
-
 def _tally(value: np.ndarray, bad: np.ndarray, witness):
     """The number of rows in violation, and the witness: ``t`` and
     ``witness(t)`` for the first row t holding the largest value, or None
@@ -277,16 +275,14 @@ def check_commuting_normal(trace: TrainingTrace, phi, tol: float = 1e-9) -> Chec
     with the target, and on the gd/penalty paths all layers stay equal.
     Needs layer snapshots in the trace."""
     phi = np.asarray(phi, dtype=float)
-    if not _symmetric(phi):
+    if not is_symmetric(phi):
         return _skipped(
             "commuting_normal", "commuting-normal check requires a symmetric target"
         )
     if trace.layers is None:
         return _skipped("commuting_normal", "trace has no layer snapshots")
     layers = trace.layers
-    prods = layers[:, 0]
-    for k in range(1, trace.L):
-        prods = layers[:, k] @ prods
+    prods = product(layers)
     comm_scale = np.maximum(1.0, _frobs(prods) * frob_norm(phi))
     comm = _frobs(prods @ phi - phi @ prods) / comm_scale
     spread = np.zeros_like(comm)
@@ -326,7 +322,7 @@ def eigen_recurrence_check(trace: TrainingTrace, phi, tol: float = 1e-9) -> Chec
     match the scalar recurrence simulation, and simulated per-layer values
     must stay bracketed between 1 and the target root (when it is real)."""
     phi = np.asarray(phi, dtype=float)
-    if not _symmetric(phi):
+    if not is_symmetric(phi):
         return _skipped(
             "eigen_recurrence", "eigenvalue recurrence check requires a symmetric target"
         )

@@ -8,8 +8,8 @@ from deeplin.matcore import (
     MAX_DIM,
     as_mat,
     cond_estimate,
+    is_symmetric,
     op_norm,
-    require_square,
     rotation,
     singular_values,
     skew,
@@ -25,7 +25,17 @@ def test_as_mat_rejects_bad_input():
     with pytest.raises(ValueError):
         as_mat(np.zeros((MAX_DIM + 1, MAX_DIM + 1)))
     with pytest.raises(ValueError):
-        require_square(np.zeros((2, 3)))
+        as_mat(np.zeros((2, 3)))
+
+
+def test_is_symmetric_per_matrix():
+    a = sym(np.random.default_rng(5).standard_normal((3, 4, 4)))
+    a[1, 0, 1] += 1e-6
+    assert is_symmetric(a).tolist() == [True, False, True]
+    assert is_symmetric(a[0]) and not is_symmetric(a[1])
+    # the tolerance has an absolute floor of 1 on the Frobenius scale
+    assert is_symmetric(np.array([[0.0, 1e-11], [0.0, 0.0]]))
+    assert not is_symmetric(np.array([[0.0, 1e-9], [0.0, 0.0]]))
 
 
 def test_sym_skew_split():

@@ -18,6 +18,7 @@ from deeplin.network import (
     full_hessian,
     loss,
     prefix_suffix_products,
+    product,
 )
 
 
@@ -76,6 +77,21 @@ def test_application_order():
     b = np.array([[1.0, 0.0], [0.0, 0.0]])
     net = DeepLinearNet((a, b))
     np.testing.assert_array_equal(end_to_end(net), b @ a)
+
+
+@pytest.mark.parametrize("d, L", [(3, 1), (1, 4), (2, 7), (4, 64)])
+def test_product_is_the_last_prefix_product(d, L):
+    net, _ = random_net(np.random.default_rng(20 + L), d, L)
+    last = prefix_suffix_products(net.layers)[0][-1]
+    assert product(net.layers).tobytes() == last.tobytes()
+    assert end_to_end(net).tobytes() == last.tobytes()
+
+
+def test_product_of_a_batch_is_the_product_of_each_row():
+    batch = np.eye(3) + 0.3 * np.random.default_rng(21).standard_normal((5, 4, 3, 3))
+    prods = product(batch)
+    assert prods.shape == (5, 3, 3)
+    assert prods.tobytes() == np.array([product(row) for row in batch]).tobytes()
 
 
 def test_loss_frozen_values():

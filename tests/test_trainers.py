@@ -17,6 +17,7 @@ from deeplin.matcore import op_norm
 from deeplin.network import DeepLinearNet, full_gradient
 from deeplin.trainers import (
     DIVERGE_LOSS,
+    RUNNERS,
     StepSchedule,
     TrainerConfig,
     TrainingTrace,
@@ -116,14 +117,6 @@ DIVERGING = [
     pytest.param("power_projection", dict(gamma=0.5), 1e308,
                  id="power_projection-1e308"),
 ]
-RUNNERS = {
-    "gd": run_gd,
-    "penalty_gd": run_penalty_gd,
-    "step_and_project": run_step_and_project,
-    "power_projection": run_power_projection,
-}
-
-
 @pytest.mark.parametrize("algorithm, extra, eta", DIVERGING)
 def test_divergence_keeps_last_finite_iterate(algorithm, extra, eta):
     # eta 1 blows the loss past DIVERGE_LOSS on gd and penalty; eta 1e308
@@ -208,6 +201,9 @@ def test_config_validation_errors():
         ).validate()
     with pytest.raises(ConfigError):
         run_gd(np.eye(3), TrainerConfig("gd", 2, 2, StepSchedule("constant", 0.1)))
+    # a non-square target is a config error too, not the validator's ValueError
+    with pytest.raises(ConfigError):
+        run_gd(np.zeros((2, 3)), TrainerConfig("gd", 2, 2, StepSchedule("constant", 0.1)))
     with pytest.raises(ConfigError):
         run_power_projection(
             np.eye(1), scalar_cfg()
