@@ -41,6 +41,7 @@ from .network import (
     end_to_end,
     full_gradient,
     full_hessian,
+    hessian_frob_norm,
     loss,
 )
 from .project import (

@@ -18,8 +18,11 @@ import numpy as np
 
 from .errors import NumericError
 
-# Construction-time bounds.  The full second-derivative matrix is
-# (L d^2) x (L d^2), so its side length gets its own cap.
+# Construction-time bounds.  The assembled second-derivative matrix is
+# (L d^2) x (L d^2), so its side length gets its own cap.  It bounds only
+# what assembles that matrix or one of that size: ``full_hessian``,
+# ``fd_hessian_check`` and the ``record_layers`` snapshot cap.  The
+# curvature bound check takes ||H||_F from d x d pieces and has no cap.
 MAX_DIM = 16
 MAX_LAYERS = 64
 MAX_HESSIAN_SIDE = 4096

@@ -10,11 +10,14 @@ are 1-based; P[k] and S[k] are the prefix and suffix products of
 The loss is ``0.5 * ||product - target||_F^2``, ``residual_loss`` of the
 residual.  Derivative formulas below are exact for this convention; the
 second-derivative matrix flattens the layers layer-major and column-major
-inside each layer.
+inside each layer.  Each of its blocks is a sum of two Kronecker-structured
+terms, so ``hessian_frob_norm`` gets its Frobenius norm from d x d products
+through ||A (x) B||_F = ||A||_F ||B||_F, without forming the matrix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,8 +116,9 @@ def full_gradient(net: DeepLinearNet, phi) -> np.ndarray:
     return layer_gradients(pre, suf, pre[net.L] - phi)
 
 
-# entries of one chunk of blocks in ``full_hessian``: a chunk holds
-# max(1, _BUDGET // d^4) blocks of d^4 entries each
+# entries of one chunk: a chunk of ``full_hessian`` holds max(1, _BUDGET //
+# d^4) blocks of d^4 entries, one of ``hessian_frob_norm`` max(1, _BUDGET //
+# (L d^2)) diagonals of at most L d x d matrices
 _BUDGET = 2**15
 
 
@@ -175,3 +179,61 @@ def full_hessian(net: DeepLinearNet, phi) -> np.ndarray:
             blocks[lo - 1 : j1 - 1, :, i - 1] = row[lo - j0 :].transpose(0, 2, 1)
             blocks[i - 1, :, j0 - 1 : j1 - 1] = row.transpose(1, 0, 2)
     return h
+
+
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Frobenius inner product of each pair of matrices of two stacks."""
+    return np.einsum("kab,kab->k", a, b)
+
+
+def hessian_frob_norm(net: DeepLinearNet, phi) -> float:
+    """Frobenius norm of ``full_hessian(net, phi)``, from d x d products only.
+
+    In the notation of ``full_hessian``, block (i, j) for i <= j is an index
+    permutation of X (x) Y plus, for i < j, of M (x) Q, with X = S[i]^T S[j]
+    and Y = P[j-1] P[i-1]^T.  As ||A (x) B||_F = ||A||_F ||B||_F,
+
+        ||H_ij||_F^2 = ||X||^2 ||Y||^2
+                       + [i < j] (||M||^2 ||Q||^2 + 2 <X Q, M^T Y>_F),
+
+    and ||H||_F^2 = sum_i ||H_ii||^2 + 2 sum_{i<j} ||H_ij||^2, since the lower
+    blocks are transposes of the upper ones.  The blocks (i, i + m) are
+    taken diagonal by diagonal, M from the recurrence of ``full_hessian``,
+    in chunks of max(1, _BUDGET // (L d^2)) diagonals with a few batched
+    matmuls each.  The work is O(L^2 d^3), and no intermediate has more
+    than max(_BUDGET, L d^2) entries, so no size cap applies.
+    """
+    d, L = net.d, net.L
+    phi = _target(net, phi)
+
+    pre, suf = prefix_suffix_products(net.layers)
+    pre_t = pre.transpose(0, 2, 1)
+    suf_t = suf.transpose(0, 2, 1)
+    sr = suf_t @ (pre[L] - phi)
+    step = max(1, _BUDGET // (L * d * d))
+    total = 0.0
+    for m0 in range(0, L, step):
+        diags = range(m0, min(m0 + step, L))
+        mids = []
+        for k in diags:
+            if k == 0:  # the diagonal blocks have no second term
+                mid = np.zeros((L, d, d))
+            elif k == 1:
+                mid = np.broadcast_to(np.eye(d), (L - 1, d, d))
+            else:
+                mid = net.layers[k - 1 : L - 1] @ mid[: L - k]
+            mids.append(mid)
+        mid_c = np.concatenate(mids)
+        m = np.repeat(diags, [L - k for k in diags])
+        i = np.concatenate([np.arange(1, L - k + 1) for k in diags])
+        j = i + m
+        x = suf_t[i] @ suf[j]
+        y = pre[j - 1] @ pre_t[i - 1]
+        q = sr[j] @ pre_t[i - 1]
+        block_sq = (
+            _inner(x, x) * _inner(y, y)
+            + _inner(mid_c, mid_c) * _inner(q, q)
+            + 2.0 * _inner(x @ q, mid_c.transpose(0, 2, 1) @ y)
+        )
+        total += float(np.where(m > 0, 2.0, 1.0) @ block_sq)
+    return math.sqrt(total)

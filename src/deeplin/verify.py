@@ -11,7 +11,11 @@ and takes the first row with the largest excess as its witness.
 
 The finite-difference checks evaluate the loss directly from flattened
 parameters and never touch the analytic derivative code, so they are an
-independent oracle for it.
+independent oracle for it.  Only ``fd_hessian_check`` assembles the
+second-derivative matrix H and is capped by MAX_HESSIAN_SIDE.  The
+curvature bound reads ||H||_F from d x d pieces: each block of H is
+X (x) Y + [i < j] M (x) Q up to an index permutation, so
+||H_ij||_F^2 = ||X||^2 ||Y||^2 + [i < j] (||M||^2 ||Q||^2 + 2 <X Q, M^T Y>_F).
 
 Note on conventions: the loss is 0.5 ||product - target||_F^2 throughout
 the package.  The classical gradient lower bound and the induced loss
@@ -32,7 +36,9 @@ import numpy as np
 from .matcore import (
     ABS_FLOOR, MAX_HESSIAN_SIDE, frob_norm, is_symmetric, op_norm, singular_values, sym,
 )
-from .network import DeepLinearNet, full_gradient, full_hessian, loss, product
+from .network import (
+    DeepLinearNet, full_gradient, full_hessian, hessian_frob_norm, loss, product,
+)
 from .trainers import TrainingTrace
 
 SLACK = 1e-12
@@ -223,7 +229,16 @@ def check_hessian_upper_bound(net: DeepLinearNet, phi) -> CheckReport:
     """Curvature bound: ||hessian||_F <= 3 L d^5 (1+z)^(2L) with
     1 + z = max layer operator norm (at least 1).  Requires
     ||phi||_2 <= (1+z)^L; otherwise skipped, and skipped too when the
-    bound passes the float range."""
+    bound passes the float range.
+
+    The left side comes from ``hessian_frob_norm`` without forming the
+    matrix: with X = S[i]^T S[j], Y = P[j-1] P[i-1]^T, M the product of
+    layers i+1..j-1 and Q = S[j]^T R P[i-1]^T,
+
+        ||H_ij||_F^2 = ||X||^2 ||Y||^2
+                       + [i < j] (||M||^2 ||Q||^2 + 2 <X Q, M^T Y>_F),
+
+    summed with weight 2 off the diagonal, so no network is too wide."""
     phi = np.asarray(phi, dtype=float)
     z = max(0.0, float(singular_values(net.layers)[:, 0].max()) - 1.0)
     if op_norm(phi) > _power(1.0 + z, net.L):
@@ -231,15 +246,13 @@ def check_hessian_upper_bound(net: DeepLinearNet, phi) -> CheckReport:
             "hessian_upper_bound",
             "target norm exceeds (1+z)^L; precondition unmet",
         )
-    if note := _oversized_hessian_note(net):
-        return _skipped("hessian_upper_bound", note)
     rhs = 3.0 * net.L * net.d**5 * _power(1.0 + z, 2 * net.L)
     if not math.isfinite(rhs):
         return _skipped(
             "hessian_upper_bound",
             f"bound 3 L d^5 (1+z)^(2L) is not finite (z={z:.3e}, L={net.L})",
         )
-    lhs = frob_norm(full_hessian(net, phi))
+    lhs = hessian_frob_norm(net, phi)
     violations = int(lhs > rhs + SLACK)
     worst = None
     if violations:

@@ -5,6 +5,7 @@ target 5 give product 24, residual 19, and the second derivatives reduce
 to products of the complementary layer scalars.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from deeplin.network import (
     end_to_end,
     full_gradient,
     full_hessian,
+    hessian_frob_norm,
     loss,
     prefix_suffix_products,
     product,
@@ -312,3 +314,29 @@ def test_hessian_directional_second_difference_deep():
         v /= np.linalg.norm(v)
         fd = (f(x + s * v) - 2.0 * f(x) + f(x - s * v)) / s**2
         assert v @ h @ v == pytest.approx(fd, rel=1e-5, abs=1e-6)
+
+
+def _assembled_frob_norm(net, phi):
+    """||full_hessian(net, phi)||_F with numpy's pairwise sum, a block row at
+    a time.  np.linalg.norm sums all (L d^2)^2 squares in one dot product,
+    which at d=16, L=16 is itself up to about 1e-13 off a long-double sum."""
+    h = full_hessian(net, phi)
+    return math.sqrt(sum(float(np.sum(rows * rows)) for rows in np.split(h, net.L)))
+
+
+# the shapes of the benchmark's curvature workload, then one and two
+# scalar layers and the widest network that full_hessian assembles
+@pytest.mark.parametrize("d, L", [
+    (4, 16), (2, 64), (2, 16), (3, 32), (3, 8), (4, 4), (5, 12), (5, 3), (6, 8),
+    (6, 2), (7, 6), (7, 2), (8, 16), (8, 4), (1, 1), (1, 2), (16, 16),
+])
+def test_hessian_frob_norm_matches_assembled(d, L):
+    rng = np.random.default_rng([17, d, L])
+    # layers at several distances from I, targets from 0.01 to 1000 in scale
+    for spread in (0.0, 0.3, 3.0):
+        net = DeepLinearNet(np.eye(d) + spread * rng.standard_normal((L, d, d)) / np.sqrt(L * d))
+        for scale in (0.01, 1.0, 1000.0):
+            phi = scale * rng.standard_normal((d, d))
+            assert hessian_frob_norm(net, phi) == pytest.approx(
+                _assembled_frob_norm(net, phi), rel=1e-13, abs=0.0
+            )

@@ -1,6 +1,8 @@
 """Checker behavior, including mutation tests proving they catch breakage."""
 
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,16 +119,37 @@ def test_hessian_upper_bound_skips_bound_beyond_float_range():
     assert "not finite" in report.note
 
 
-def test_hessian_checks_skip_oversized_network():
+def test_fd_hessian_skips_oversized_network():
     # 17 layers of side 16 give a 4352-wide second-derivative matrix
-    net = DeepLinearNet.identity(16, 17)
-    note = "second-derivative side 4352 exceeds the bound 4096"
-    for report in (
-        check_hessian_upper_bound(net, 0.5 * np.eye(16)),
-        fd_hessian_check(net, 0.5 * np.eye(16)),
-    ):
-        assert report.status == "skipped"
-        assert report.note == note
+    report = fd_hessian_check(DeepLinearNet.identity(16, 17), 0.5 * np.eye(16))
+    assert report.status == "skipped"
+    assert report.note == "second-derivative side 4352 exceeds the bound 4096"
+
+
+def test_hessian_upper_bound_checks_oversized_network():
+    # the bound check never forms the 4352-wide matrix.  At identity layers
+    # with target c I every block has X = Y = M = I and Q = (1 - c) I, so
+    # ||H||^2 = L d^2 + L (L - 1) (d^2 + d^2 (1 - c)^2 + 2 d (1 - c)).
+    d, L, c = 16, 17, 0.5
+    report = check_hessian_upper_bound(DeepLinearNet.identity(d, L), c * np.eye(d))
+    assert report.status == "pass"
+    hand = math.sqrt(L * d * d + L * (L - 1) * (d * d * (1 + (1 - c) ** 2) + 2 * d * (1 - c)))
+    assert report.note.startswith(f"lhs {hand:.6e} ")
+
+
+def test_hessian_upper_bound_largest_network_in_bounded_memory():
+    # d=16, L=64 is 16384 wide (2 GiB assembled); the assembled matrix at
+    # the 4096 cap alone takes 128 MiB
+    rng = np.random.default_rng(57)
+    net = DeepLinearNet(np.eye(16) + 0.01 * rng.standard_normal((64, 16, 16)))
+    tracemalloc.start()
+    try:
+        report = check_hessian_upper_bound(net, 0.5 * np.eye(16))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.status == "pass"
+    assert peak <= 4 * 2**20
 
 
 def spd_trace(max_iters=40, **kw):
