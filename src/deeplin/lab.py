@@ -16,8 +16,8 @@ with a ``d,<dim>`` header line.
 
 from __future__ import annotations
 
+import functools
 import json
-import math
 import os
 import sys
 import time
@@ -230,13 +230,18 @@ def _conforms(value, kind) -> bool:
     return isinstance(value, kind)
 
 
+# the field types of each config dataclass, evaluated once: the string
+# annotations would otherwise be evaluated again on every load
+_type_hints = functools.cache(typing.get_type_hints)
+
+
 def _build(cls, data, context: str):
     """``cls`` from a JSON object whose keys are fields of ``cls`` and whose
     values fit the fields' declared types; an object for a dataclass field
     is built the same way."""
     if not isinstance(data, dict):
         raise ConfigError(f"{context} must be a JSON object")
-    kinds = typing.get_type_hints(cls)
+    kinds = _type_hints(cls)
     unknown = set(data) - set(kinds)
     if unknown:
         raise ConfigError(f"unknown {context} fields: {sorted(unknown)}")
@@ -292,10 +297,12 @@ def write_trace_csv(trace: TrainingTrace, path):
         for k, eig in enumerate(trace.eigenvalues.T):
             cols += [f"eig{k}_re", f"eig{k}_im"]
             values += [eig.real, eig.imag]
-    lines = [",".join(cols)]
-    for t, row in enumerate(zip(*(v.tolist() for v in values))):
-        lines.append(",".join([str(t), *("" if math.isnan(x) else _fmt(x) for x in row)]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    # one format per row; %.17g writes NaN as "nan", which no finite or
+    # infinite value writes, so dropping that token empties the NaN cells
+    fmt = "%d" + ",%.17g" * len(values) + "\n"
+    rows = zip(range(len(trace.losses)), *(v.tolist() for v in values))
+    body = "".join(fmt % row for row in rows).replace("nan", "")
+    Path(path).write_text(",".join(cols) + "\n" + body)
 
 
 def write_matrix_csv(a, path):

@@ -7,6 +7,13 @@ layers[0]``, which ``product`` forms.  Layer indices in the formulas below
 are 1-based; P[k] and S[k] are the prefix and suffix products of
 ``prefix_suffix_products``.
 
+A net forms its products and its layer singular values once, on first
+read, and keeps them read-only in the cached properties ``products`` and
+``singular_values``.  That is safe because the net owns its layers and
+they are read-only, so the cache cannot go stale.  ``loss``, the
+derivatives and the curvature bound read ``products``; ``end_to_end``
+still returns a fresh array.
+
 The loss is ``0.5 * ||product - target||_F^2``, ``residual_loss`` of the
 residual.  Derivative formulas below are exact for this convention; the
 second-derivative matrix flattens the layers layer-major and column-major
@@ -19,10 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .matcore import MAX_HESSIAN_SIDE, MAX_LAYERS, as_mat, as_stack
+from .matcore import MAX_HESSIAN_SIDE, MAX_LAYERS, as_mat, as_stack, singular_values
 
 
 @dataclass(frozen=True)
@@ -49,6 +57,22 @@ class DeepLinearNet:
     def L(self) -> int:
         return self.layers.shape[0]
 
+    @cached_property
+    def products(self) -> tuple:
+        """The (P, S) stacks of ``prefix_suffix_products`` of the layers,
+        read-only, formed on first read and kept for the net's lifetime."""
+        pre, suf = prefix_suffix_products(self.layers)
+        pre.flags.writeable = suf.flags.writeable = False
+        return pre, suf
+
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        """The read-only (L, d) singular values of the layers, one row per
+        layer in descending order, formed on first read and kept."""
+        sv = singular_values(self.layers)
+        sv.flags.writeable = False
+        return sv
+
     @staticmethod
     def identity(d: int, L: int) -> "DeepLinearNet":
         return DeepLinearNet(np.tile(np.eye(d), (L, 1, 1)))
@@ -69,10 +93,10 @@ def prefix_suffix_products(layers: np.ndarray):
     pre = np.empty((L + 1, d, d))
     suf = np.empty((L + 1, d, d))
     pre[0] = suf[L] = np.eye(d)
-    for k in range(L):
-        np.matmul(layers[k], pre[k], out=pre[k + 1])
+    for k, layer in enumerate(layers):
+        np.dot(layer, pre[k], out=pre[k + 1])
     for k in range(L - 1, -1, -1):
-        np.matmul(suf[k + 1], layers[k], out=suf[k])
+        np.dot(suf[k + 1], layers[k], out=suf[k])
     return pre, suf
 
 
@@ -95,7 +119,7 @@ def product(layers) -> np.ndarray:
 
 def residual_loss(residual) -> float:
     """The loss of a residual R = product - target: 0.5 ||R||_F^2."""
-    return 0.5 * float(np.sum(residual * residual))
+    return 0.5 * float((residual * residual).sum())
 
 
 def end_to_end(net: DeepLinearNet) -> np.ndarray:
@@ -105,14 +129,14 @@ def end_to_end(net: DeepLinearNet) -> np.ndarray:
 
 def loss(net: DeepLinearNet, phi) -> float:
     """Half squared Frobenius distance between the end-to-end map and ``phi``."""
-    return residual_loss(end_to_end(net) - _target(net, phi))
+    return residual_loss(net.products[0][net.L] - _target(net, phi))
 
 
 def full_gradient(net: DeepLinearNet, phi) -> np.ndarray:
-    """All layer gradients as one (L, d, d) stack, from one pass of
-    partial products."""
+    """All layer gradients as one (L, d, d) stack, from the net's
+    prefix and suffix products."""
     phi = _target(net, phi)
-    pre, suf = prefix_suffix_products(net.layers)
+    pre, suf = net.products
     return layer_gradients(pre, suf, pre[net.L] - phi)
 
 
@@ -150,7 +174,7 @@ def full_hessian(net: DeepLinearNet, phi) -> np.ndarray:
         )
     phi = _target(net, phi)
 
-    pre, suf = prefix_suffix_products(net.layers)
+    pre, suf = net.products
     pre_t = pre.transpose(0, 2, 1)
     suf_t = suf.transpose(0, 2, 1)
     sr = suf_t @ (pre[L] - phi)
@@ -206,7 +230,7 @@ def hessian_frob_norm(net: DeepLinearNet, phi) -> float:
     d, L = net.d, net.L
     phi = _target(net, phi)
 
-    pre, suf = prefix_suffix_products(net.layers)
+    pre, suf = net.products
     pre_t = pre.transpose(0, 2, 1)
     suf_t = suf.transpose(0, 2, 1)
     sr = suf_t @ (pre[L] - phi)

@@ -349,7 +349,7 @@ def _train(
         eta = step_size(t, rec, loss_val)
         etas.append(eta)
         layers = update(layers, layer_gradients(pre, suf, residual), eta)
-        if not np.all(np.isfinite(layers)):
+        if not np.isfinite(layers).all():
             status = "diverged"
             break
         layers, prod, loss_half = settle(layers) if settle else (layers, None, None)
@@ -394,7 +394,7 @@ def run_power_projection(phi, cfg: TrainerConfig) -> TrainingTrace:
         prod_half = product(half)
         loss_half = residual_loss(prod_half - phi)
         projected = prod_half
-        if np.all(np.isfinite(prod_half)):
+        if np.isfinite(prod_half).all():
             projected = project_gamma_positive(prod_half, cfg.gamma)
         if not residual_loss(projected - phi) <= DIVERGE_LOSS:
             # the loop's loss test ends the run on this product, which may

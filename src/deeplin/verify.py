@@ -34,7 +34,7 @@ from functools import partial
 import numpy as np
 
 from .matcore import (
-    ABS_FLOOR, MAX_HESSIAN_SIDE, frob_norm, is_symmetric, op_norm, singular_values, sym,
+    ABS_FLOOR, MAX_HESSIAN_SIDE, frob_norm, is_symmetric, op_norm, sym,
 )
 from .network import (
     DeepLinearNet, full_gradient, full_hessian, hessian_frob_norm, loss, product,
@@ -193,7 +193,7 @@ def check_gradient_lower_bound(net: DeepLinearNet, phi) -> CheckReport:
     parameterizes a floor, not the exact minimum).  Tight at identity
     layers.  Skipped when a >= 1 (the bound is vacuous there)."""
     phi = np.asarray(phi, dtype=float)
-    a = max(0.0, 1.0 - float(singular_values(net.layers).min()))
+    a = max(0.0, 1.0 - float(net.singular_values.min()))
     if a >= 1.0:
         return _skipped("gradient_lower_bound", f"vacuous margin (a={a:.3f})")
     lval = loss(net, phi)
@@ -240,7 +240,7 @@ def check_hessian_upper_bound(net: DeepLinearNet, phi) -> CheckReport:
 
     summed with weight 2 off the diagonal, so no network is too wide."""
     phi = np.asarray(phi, dtype=float)
-    z = max(0.0, float(singular_values(net.layers)[:, 0].max()) - 1.0)
+    z = max(0.0, float(net.singular_values[:, 0].max()) - 1.0)
     if op_norm(phi) > _power(1.0 + z, net.L):
         return _skipped(
             "hessian_upper_bound",

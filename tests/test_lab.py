@@ -1,6 +1,7 @@
 """Targets, scenario configs, artifacts, sweep, and the CLI surface."""
 
 import json
+import math
 import warnings
 from dataclasses import asdict
 
@@ -159,6 +160,23 @@ def test_scenario_rejects_unknown_fields_and_schema():
         scenario_from_dict({"scenario_id": "x"})
 
 
+def test_scenario_loads_evaluate_field_types_once():
+    scenario_from_dict(demo_config())
+    before = lab._type_hints.cache_info()
+    mistyped = demo_config()
+    mistyped["trainer"]["max_iters"] = 2.5
+    unknown = demo_config()
+    unknown["target"]["vintage"] = 1979
+    for _ in range(2):
+        with pytest.raises(ConfigError, match=r"^trainer field 'max_iters' must be int, got 2\.5$"):
+            scenario_from_dict(mistyped)
+        with pytest.raises(ConfigError, match=r"^unknown target fields: \['vintage'\]$"):
+            scenario_from_dict(unknown)
+        scenario_from_dict(demo_config())
+    after = lab._type_hints.cache_info()
+    assert after.misses == before.misses and after.hits > before.hits
+
+
 def test_run_scenario_artifacts(tmp_path):
     cfg = scenario_from_dict(demo_config(tmp_path))
     report = run_scenario(cfg)
@@ -222,6 +240,60 @@ def test_trace_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(table[:, 1:], np.stack(columns, axis=1))
     # only the start has no half-step loss; its cell is empty
     assert np.isnan(table[0, 2]) and not np.isnan(table[1:, 2]).any()
+
+
+def _per_cell_trace_csv(trace) -> str:
+    """The trace CSV written one cell at a time, as format(x, ".17g") with
+    an empty NaN cell: the oracle of ``write_trace_csv``."""
+    cols = ["t", "loss", "loss_half", "radius_R", "min_sv", "max_norm", "U_t"]
+    values = [trace.losses, trace.loss_halves, trace.radii,
+              trace.min_svs, trace.max_norms, trace.u_stats]
+    if trace.eigenvalues is not None:
+        for k, eig in enumerate(trace.eigenvalues.T):
+            cols += [f"eig{k}_re", f"eig{k}_im"]
+            values += [eig.real, eig.imag]
+    lines = [",".join(cols)]
+    for t, row in enumerate(zip(*(v.tolist() for v in values))):
+        cells = ("" if math.isnan(x) else format(x, ".17g") for x in row)
+        lines.append(",".join([str(t), *cells]))
+    return "\n".join(lines) + "\n"
+
+
+def _columns_trace(rows, spectra):
+    """A trace with hand-set columns: NaN and infinite cells, signed zeros,
+    subnormal and huge values, and spectra with infinite parts."""
+    rng = np.random.default_rng(31)
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308, -1e-300]
+    cols = [rng.standard_normal(rows) * 10.0 ** rng.integers(-20, 20, rows) for _ in range(6)]
+    for k, col in enumerate(cols):
+        col[rows // 2] = special[k % len(special)]
+        col[-1] = special[(k + 1) % len(special)]
+    cols[1][0] = np.nan  # no half-step loss at the start
+    eig = None
+    if spectra:
+        eig = rng.standard_normal((rows, 3)) + 1j * rng.standard_normal((rows, 3))
+        eig[0] = [complex(np.inf, -np.inf), complex(np.nan, 0.0), complex(-0.0, np.nan)]
+    return deeplin.trainers.TrainingTrace("gd", 3, 2, *cols, eigenvalues=eig)
+
+
+@pytest.mark.parametrize("rows, spectra", [(1, False), (1, True), (151, False), (151, True)])
+def test_trace_csv_matches_the_per_cell_writer(tmp_path, rows, spectra):
+    trace = _columns_trace(rows, spectra)
+    path = tmp_path / "t.csv"
+    write_trace_csv(trace, path)
+    text = path.read_text()
+    assert text == _per_cell_trace_csv(trace)
+    assert "nan" not in text and "inf" in text
+
+
+def test_trace_csv_of_runs_matches_the_per_cell_writer(tmp_path):
+    phi = np.array([[2.0, 0.3], [-0.4, 1.5]])
+    power = TrainerConfig("power_projection", 2, 3, StepSchedule("default"),
+                          gamma=0.5, max_iters=20, record_spectra=True)
+    gd = TrainerConfig("gd", 2, 3, StepSchedule("constant", 0.05), max_iters=0)
+    for trace in (run_power_projection(phi, power), run_gd(phi, gd)):
+        write_trace_csv(trace, tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_text() == _per_cell_trace_csv(trace)
 
 
 def test_floor_confirmed_status():

@@ -18,6 +18,7 @@ from deeplin.network import (
     full_gradient,
     full_hessian,
     hessian_frob_norm,
+    layer_gradients,
     loss,
     prefix_suffix_products,
     product,
@@ -87,6 +88,63 @@ def test_product_is_the_last_prefix_product(d, L):
     last = prefix_suffix_products(net.layers)[0][-1]
     assert product(net.layers).tobytes() == last.tobytes()
     assert end_to_end(net).tobytes() == last.tobytes()
+
+
+def _matmul_chain(layers):
+    """The prefix and suffix stacks formed with ``np.matmul`` one layer at a
+    time: the oracle of ``prefix_suffix_products``."""
+    L, d, _ = layers.shape
+    pre = np.empty((L + 1, d, d))
+    suf = np.empty((L + 1, d, d))
+    pre[0] = suf[L] = np.eye(d)
+    for k in range(L):
+        np.matmul(layers[k], pre[k], out=pre[k + 1])
+    for k in range(L - 1, -1, -1):
+        np.matmul(suf[k + 1], layers[k], out=suf[k])
+    return pre, suf
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 64])
+@pytest.mark.parametrize("d", range(1, MAX_DIM + 1))
+def test_prefix_suffix_products_match_the_matmul_chain(d, L):
+    layers = np.eye(d) + np.random.default_rng([22, d, L]).standard_normal((L, d, d)) / d
+    # a stack with a reversed layer stride, as the power projection trainer
+    # passes its refactored layers
+    for stack in (layers, layers[::-1]):
+        pre, suf = prefix_suffix_products(stack)
+        pre_o, suf_o = _matmul_chain(stack)
+        assert pre.tobytes() == pre_o.tobytes() and suf.tobytes() == suf_o.tobytes()
+
+
+def test_cached_products_and_singular_values_are_read_only_and_fresh():
+    net, _ = random_net(np.random.default_rng(23), 3, 5)
+    pre, suf = net.products
+    sv = net.singular_values
+    assert net.products[0] is pre and net.singular_values is sv
+    for a in (pre, suf, sv):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 7.0
+    fresh = prefix_suffix_products(net.layers)
+    assert pre.tobytes() == fresh[0].tobytes() and suf.tobytes() == fresh[1].tobytes()
+    assert sv.tobytes() == np.linalg.svd(net.layers, compute_uv=False).tobytes()
+    assert sv.shape == (5, 3)
+
+
+@pytest.mark.parametrize("d, L", [(1, 3), (2, 64), (3, 8), (8, 16), (16, 4)])
+def test_cached_formulas_are_bitwise_the_uncached_ones(d, L):
+    net, phi = random_net(np.random.default_rng([24, d, L]), d, L)
+    pre, suf = _matmul_chain(net.layers)
+    r = product(net.layers) - phi
+    assert loss(net, phi) == 0.5 * float(np.sum(r * r))
+    assert full_gradient(net, phi).tobytes() == layer_gradients(pre, suf, pre[L] - phi).tobytes()
+    # the bound's norm from a net holding the oracle's products in its cache
+    oracle = DeepLinearNet(net.layers)
+    oracle.__dict__["products"] = (pre, suf)
+    assert hessian_frob_norm(net, phi) == hessian_frob_norm(oracle, phi)
+    # and every formula reads the same value again from the filled cache
+    assert loss(net, phi) == 0.5 * float(np.sum(r * r))
+    assert hessian_frob_norm(net, phi) == hessian_frob_norm(DeepLinearNet(net.layers), phi)
 
 
 def test_product_of_a_batch_is_the_product_of_each_row():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import deeplin.verify as verify
+from deeplin import matcore, network
 from deeplin.network import DeepLinearNet, full_gradient, full_hessian
 from deeplin.trainers import StepSchedule, TrainerConfig, run_gd, run_power_projection, run_step_and_project
 from deeplin.verify import (
@@ -150,6 +151,29 @@ def test_hessian_upper_bound_largest_network_in_bounded_memory():
         tracemalloc.stop()
     assert report.status == "pass"
     assert peak <= 4 * 2**20
+
+
+def test_bound_checks_of_one_net_form_its_products_and_singular_values_once(monkeypatch):
+    calls = []
+
+    def counting(fn):
+        def wrapped(a):
+            calls.append((fn.__name__, np.ndim(a)))
+            return fn(a)
+        return wrapped
+
+    monkeypatch.setattr(network, "prefix_suffix_products", counting(network.prefix_suffix_products))
+    for module in (network, matcore):
+        monkeypatch.setattr(module, "singular_values", counting(module.singular_values))
+    rng = np.random.default_rng(58)
+    net = DeepLinearNet(np.eye(3) + 0.05 * rng.standard_normal((6, 3, 3)))
+    phi = 0.5 * np.eye(3) + 0.1 * rng.standard_normal((3, 3))
+    reports = (check_gradient_lower_bound(net, phi), check_hessian_upper_bound(net, phi))
+    assert [r.status for r in reports] == ["pass", "pass"]
+    assert calls.count(("prefix_suffix_products", 3)) == 1
+    # the target's operator norm takes one more call, on a single matrix
+    assert calls.count(("singular_values", 3)) == 1
+    assert len(calls) == 3
 
 
 def spd_trace(max_iters=40, **kw):
