@@ -20,17 +20,28 @@ The trainers differ only in the update rule and an optional settle step:
 
 A trace holds one row per iterate, including t = 0, stored as columns (one
 array per statistic), and is deterministic: the loop draws no randomness.
+The recorder takes the statistics of each full chunk of iterates (two
+values-only SVDs and the batched ``eigvals``) on a module-level thread pool
+while the loop runs on; numpy releases the GIL in those calls.  The running
+maxima, the tables and the recorded layers stay on the caller's thread, in
+chunk order, and each job makes the same LAPACK calls on the same bytes, so
+the trace is bitwise that of taking every chunk inline.  The pool has
+min(_RING - 1, CPUs) threads, counting the CPUs this process may run on,
+and is not created on one CPU.
 """
 
 from __future__ import annotations
 
+import os
 import warnings
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import matcore
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .factor import balanced_factorization
 from .matcore import as_mat, frob_norm, op_norm
 from .network import layer_gradients, prefix_suffix_products, product, residual_loss
@@ -43,6 +54,9 @@ _MAX_RECORDED_ENTRIES = matcore.MAX_HESSIAN_SIDE**2
 # The recorder takes its statistics in chunks of about this many layer
 # entries (256 KiB of float64), at least one iterate per chunk.
 _CHUNK_ENTRIES = 2**15
+# Chunk buffers a recorder may hold while the pool works on full ones.
+_RING = 4
+_POOL = None  # created by _pool on first use
 
 @dataclass(frozen=True)
 class StepSchedule:
@@ -213,43 +227,109 @@ def _prepare(phi, cfg: TrainerConfig, algorithm: str) -> np.ndarray:
     return as_mat(phi, name="target")
 
 
+def _chunk_stats(chunk, prods, eye):
+    """The order-free statistics of a chunk of iterates: each iterate's
+    smallest and largest layer singular value and largest deviation from
+    I, and the sorted spectra of ``prods`` (None without).  Calls numpy
+    only, so it may run on a pool thread; LAPACK failures become
+    NumericError."""
+    n = len(chunk)
+    try:
+        sv = np.linalg.svd(chunk, compute_uv=False).reshape(n, -1)
+        dev = np.linalg.svd(chunk - eye, compute_uv=False).reshape(n, -1)
+        spectra = None if prods is None else np.sort_complex(np.linalg.eigvals(prods))
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"recorder statistics failed: {exc}") from exc
+    return sv.min(axis=1), sv.max(axis=1), dev.max(axis=1), spectra
+
+
+def _pool_size() -> int:
+    """Recorder pool threads: one fewer than the ring's buffers, at most one
+    per CPU this process may run on, and none on one CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(_RING - 1, cpus) if cpus > 1 else 0
+
+
+def _pool():
+    """The recorder's thread pool, created on first use; None on one CPU."""
+    global _POOL
+    if _POOL is None and (size := _pool_size()):
+        _POOL = ThreadPoolExecutor(size, thread_name_prefix="deeplin-recorder")
+    return _POOL
+
+
+def _forget_pool():
+    # a forked child inherits the pool object but none of its threads
+    global _POOL
+    _POOL = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
 class _Recorder:
     """Trace rows and the running radius and norm statistics, taken a chunk
     of iterates at a time.
 
     ``add`` records the losses and copies the layers (and, with spectra, the
     loss product) into a chunk buffer of ``_CHUNK_ENTRIES // (L d^2)``
-    iterates, at least one.  A flush takes the chunk's statistics with one
-    values-only SVD of the layers, one of the layers minus I and one batched
-    ``eigvals``; each matrix still goes through the same LAPACK call, so the
-    values are those of per-iterate calls.  ``radius`` flushes first.
-    Recorded layers grow in place by one chunk per flush, so the snapshots
-    are held once; ``columns`` hands them to the trace without a copy.
+    iterates, at least one.  A chunk's statistics come from
+    ``_chunk_stats``: one values-only SVD of the layers, one of the layers
+    minus I and one batched ``eigvals``; each matrix still goes through the
+    same LAPACK call, so the values are those of per-iterate calls.
+
+    A full chunk goes to the module's thread pool as one ``_chunk_stats``
+    job, and the loop fills the next buffer of a ring of at most ``_RING``
+    while the pool works; with every buffer busy it waits for the oldest
+    job.  A buffer is allocated only when the previous one fills and the
+    pool is created only then, so a run that never fills a chunk starts no
+    thread.  What depends on order stays on the caller's thread, in chunk
+    order: the recorded layers grow when a chunk is submitted, and the
+    running maxima, tables and spectra are taken up as jobs are collected.
+    The same calls on the same bytes give the same values on any thread.
+    Without a pool every chunk is taken inline.  ``radius`` (read every
+    step by the admissible schedule) and ``columns`` take the partial chunk
+    inline and collect every job.  Recorded layers grow in place a chunk at
+    a time, so the snapshots are held once; ``columns`` hands them to the
+    trace without a copy.
     """
 
     def __init__(self, phi: np.ndarray, cfg: TrainerConfig):
         d, L = cfg.d, cfg.L
-        chunk = max(1, _CHUNK_ENTRIES // (L * d * d))
+        self.size = max(1, _CHUNK_ENTRIES // (L * d * d))
+        self.shape = (L, d, d)
+        self.spectra_on = cfg.record_spectra
         self.eye = np.eye(d)
-        self.buf = np.empty((chunk, L, d, d))
-        self.prods = np.empty((chunk, d, d)) if cfg.record_spectra else None
-        # rows: loss, half-step loss, radius, min sv, max norm, U_t
-        self.table = np.empty((6, chunk))
+        self.slot = self._new_slot()
+        self.free: list = []
+        self.pending: deque = deque()  # (job, slot), oldest first
         self.n = 0
         self.tables: list = []
         self.spectra: list = []
         self.layers = np.empty((0, L, d, d)) if cfg.record_layers else None
         self.carry = (0.0, op_norm(phi) ** (1.0 / L))
 
+    def _new_slot(self):
+        """A chunk buffer: layers, loss products (with spectra) and the
+        table with rows loss, half-step loss, radius, min sv, max norm, U_t."""
+        size, d = self.size, self.shape[-1]
+        prods = np.empty((size, d, d)) if self.spectra_on else None
+        return np.empty((size, *self.shape)), prods, np.empty((6, size))
+
     def add(self, layers, prod, loss_val, loss_half):
+        buf, prods, table = self.slot
         n = self.n
-        self.buf[n] = layers
-        if self.prods is not None:
-            self.prods[n] = prod
-        self.table[:2, n] = loss_val, np.nan if loss_half is None else loss_half
+        buf[n] = layers
+        if prods is not None:
+            prods[n] = prod
+        table[:2, n] = loss_val, np.nan if loss_half is None else loss_half
         self.n = n + 1
-        if self.n == len(self.buf):
-            self._flush()
+        if self.n == self.size:
+            self._submit()
 
     @property
     def radius(self) -> float:
@@ -257,26 +337,60 @@ class _Recorder:
         self._flush()
         return float(self.carry[0])
 
-    def _flush(self):
-        n, self.n = self.n, 0
-        if n == 0:
+    def _submit(self):
+        """Hand the full chunk to the pool and move to a free buffer."""
+        pool = _pool()
+        if pool is None:
+            self._flush()
             return
-        chunk, table = self.buf[:n], self.table[:, :n]
-        sv = np.linalg.svd(chunk, compute_uv=False).reshape(n, -1)
-        dev = np.linalg.svd(chunk - self.eye, compute_uv=False).reshape(n, -1)
-        table[3], table[4] = sv.min(axis=1), sv.max(axis=1)
-        # running maxima, seeded with the values carried from the last chunk
-        np.maximum(np.maximum.accumulate(dev.max(axis=1)), self.carry[0], out=table[2])
-        np.maximum(np.maximum.accumulate(table[4]), self.carry[1], out=table[5])
-        self.carry = (table[2, -1], table[5, -1])
-        self.tables.append(table.copy())
-        if self.prods is not None:
-            self.spectra.append(np.sort_complex(np.linalg.eigvals(self.prods[:n])))
+        buf, prods, _ = slot = self.slot
+        self._grow_layers(buf)
+        self.pending.append((pool.submit(_chunk_stats, buf, prods, self.eye), slot))
+        self.n = 0
+        if not self.free:
+            # every buffer made so far holds a pending chunk
+            if len(self.pending) < _RING:
+                self.free.append(self._new_slot())
+            else:
+                self._collect()
+        self.slot = self.free.pop()
+
+    def _collect(self):
+        """Take up the oldest job's statistics and free its buffer."""
+        job, slot = self.pending.popleft()
+        self._take_up(slot[2], job.result())
+        self.free.append(slot)
+
+    def _flush(self):
+        """Take the partial chunk's statistics inline while the pool
+        finishes, then collect every job and take the partial up last."""
+        n, self.n = self.n, 0
+        if n:
+            buf, prods, table = self.slot
+            stats = _chunk_stats(buf[:n], None if prods is None else prods[:n], self.eye)
+        while self.pending:
+            self._collect()
+        if n:
+            self._grow_layers(buf[:n])
+            self._take_up(table[:, :n], stats)
+
+    def _grow_layers(self, chunk):
         if self.layers is not None:
             m = len(self.layers)
             # in place (realloc): no view of the snapshots is alive here
-            self.layers.resize((m + n, *chunk.shape[1:]), refcheck=False)
+            self.layers.resize((m + len(chunk), *self.shape), refcheck=False)
             self.layers[m:] = chunk
+
+    def _take_up(self, table, stats):
+        min_sv, max_norm, max_dev, spectra = stats
+        table[3], table[4] = min_sv, max_norm
+        # running maxima, seeded with the values carried from the last chunk
+        np.maximum(np.maximum.accumulate(max_dev), self.carry[0], out=table[2])
+        np.maximum(np.maximum.accumulate(table[4]), self.carry[1], out=table[5])
+        self.carry = (table[2, -1], table[5, -1])
+        self.tables.append(table.copy())
+        if spectra is not None:
+            self.spectra.append(spectra)
 
     def columns(self) -> tuple:
         """The rows as the trace's columns, in its field order."""

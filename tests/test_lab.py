@@ -1,7 +1,9 @@
 """Targets, scenario configs, artifacts, sweep, and the CLI surface."""
 
+import faulthandler
 import json
 import math
+import threading
 import warnings
 from dataclasses import asdict
 
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import deeplin
-from deeplin import cli, lab
+from deeplin import cli, lab, trainers
 from deeplin.errors import ConfigError
 from deeplin.lab import (
     ScenarioConfig,
@@ -456,6 +458,60 @@ def test_sweep_parallel_matches_serial(tmp_path):
     parallel = sweep(tmp_path, workers=2)
     assert [r.scenario_id for r in serial] == [r.scenario_id for r in parallel]
     assert [r.final_loss for r in serial] == [r.final_loss for r in parallel]
+
+
+def chunk_filling_config(k):
+    # d=4, L=16 takes 128 iterates a chunk, so 300 steps fill two
+    return demo_config(
+        scenario_id=f"f{k}",
+        target={"kind": "spd", "d": 4, "eigenvalues": [0.5, 1.0, 1.5, 2.0 + k], "seed": k},
+        trainer={"algorithm": "gd", "d": 4, "L": 16,
+                 "schedule": {"mode": "constant", "eta": 0.005}, "max_iters": 300},
+        checks=["trace_recurrence"],
+    )
+
+
+def test_sweep_forks_workers_after_the_recorder_pool_started(tmp_path, recorder_pool):
+    # a forked worker inherits the parent's pool but not its threads; it
+    # must start its own instead of waiting on them
+    recorder_pool(2)
+    run_scenario(scenario_from_dict(chunk_filling_config(0)))
+    assert trainers._POOL is not None
+    for k in range(3):
+        (tmp_path / f"f{k}.json").write_text(json.dumps(chunk_filling_config(k)))
+    serial = [r.to_dict() for r in sweep(tmp_path, workers=1)]
+    # a worker waiting on the inherited pool would hang the sweep forever
+    faulthandler.dump_traceback_later(120, exit=True)
+    try:
+        parallel = [r.to_dict() for r in sweep(tmp_path, workers=2)]
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    for r in serial + parallel:
+        assert r.pop("wall_clock") > 0.0
+        assert r["status"] == "budget"
+    assert serial == parallel
+
+
+@pytest.mark.parametrize("pool_size", [0, 2])
+def test_recorder_linalg_failure_is_an_error_report(monkeypatch, recorder_pool, pool_size):
+    # raised inline without a pool, and on a pool thread, re-raised when the
+    # loop collects the job, with one
+    recorder_pool(pool_size)
+    monkeypatch.setattr(trainers, "_CHUNK_ENTRIES", 1)
+    svd, failed_on = np.linalg.svd, []
+
+    def failing_svd(a, *args, **kwargs):
+        if np.ndim(a) == 4:  # a recorder chunk of layer stacks
+            failed_on.append(threading.current_thread().name)
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    report = run_scenario(scenario_from_dict(demo_config()))
+    assert report.status == "error"
+    assert "recorder statistics failed: SVD did not converge" in report.detail
+    on_pool = [name.startswith("deeplin-recorder") for name in failed_on]
+    assert on_pool and all(on_pool) == bool(pool_size)
 
 
 def test_cli_run_success(tmp_path, capsys):

@@ -6,6 +6,8 @@ on 1.1, and the second step lands them on 1.1 + 0.1 * 1.1 * 0.79 = 1.1869.
 """
 
 import dataclasses
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -501,6 +503,74 @@ def test_chunked_recorder_radius_feeds_admissible_steps(monkeypatch, mode):
                         record_spectra=True, record_layers=True)
     trace = run_with_both_recorders(monkeypatch, TARGET / 2, cfg, CHUNK)
     assert len(trace.etas) == 3 * CHUNK + 2
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHM_ARGS)
+def test_pooled_recorder_backlog_beyond_the_ring(monkeypatch, recorder_pool, algorithm):
+    # 15 full chunks of 2 rows against a ring of 4 buffers, so the loop
+    # waits on the oldest job again and again
+    recorder_pool(2)
+    cfg = TrainerConfig(
+        algorithm, 2, 3, StepSchedule("constant", 0.05), max_iters=29,
+        record_spectra=True, record_layers=True, **ALGORITHM_ARGS[algorithm],
+    )
+    trace = run_with_both_recorders(monkeypatch, TARGET, cfg, 2)
+    assert len(trace.losses) == 30
+    assert trainers._POOL is not None
+
+
+def test_pooled_recorder_stops_mid_chunk(monkeypatch, recorder_pool):
+    recorder_pool(2)
+    test_chunked_recorder_stops_mid_chunk(monkeypatch)
+    assert trainers._POOL is not None
+
+
+@pytest.mark.parametrize("chunk", [1, CHUNK])
+def test_pooled_recorder_radius_feeds_admissible_steps(monkeypatch, recorder_pool, chunk):
+    # one-row chunks go to the pool and the next radius read collects them;
+    # longer ones never fill, as every radius read flushes the one row
+    recorder_pool(2)
+    cfg = TrainerConfig("gd", 2, 3, StepSchedule("admissible"), max_iters=3 * CHUNK + 2,
+                        record_spectra=True, record_layers=True)
+    run_with_both_recorders(monkeypatch, TARGET / 2, cfg, chunk)
+    assert (trainers._POOL is not None) == (chunk == 1)
+
+
+def test_pooled_recorder_under_a_short_switch_interval(monkeypatch, recorder_pool):
+    # more threads than this host may have CPUs and a switch every
+    # microsecond: a buffer rewritten before its job read it, or a job
+    # taken up out of order, would change the trace
+    recorder_pool(3)
+    cfg = TrainerConfig("power_projection", 2, 3, StepSchedule("constant", 0.05),
+                        gamma=0.5, max_iters=199, record_spectra=True, record_layers=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        run_with_both_recorders(monkeypatch, TARGET, cfg, 1)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_run_that_fills_no_chunk_starts_no_pool(monkeypatch, recorder_pool):
+    recorder_pool(2)
+    threads = threading.active_count()
+    cfg = TrainerConfig("gd", 2, 3, StepSchedule("constant", 0.05), max_iters=CHUNK - 2,
+                        record_spectra=True, record_layers=True)
+    run_with_both_recorders(monkeypatch, TARGET, cfg, CHUNK)
+    assert trainers._POOL is None
+    assert threading.active_count() == threads
+
+
+def test_one_cpu_takes_every_chunk_inline(monkeypatch):
+    monkeypatch.setattr(trainers.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(trainers.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(trainers, "_POOL", None)
+    threads = threading.active_count()
+    cfg = TrainerConfig("gd", 2, 3, StepSchedule("constant", 0.05), max_iters=4 * CHUNK,
+                        record_spectra=True, record_layers=True)
+    run_with_both_recorders(monkeypatch, TARGET, cfg, CHUNK)
+    assert trainers._POOL is None
+    assert threading.active_count() == threads
 
 
 def test_recorded_layers_are_held_once():
