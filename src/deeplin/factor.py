@@ -8,9 +8,10 @@ telescope.  One SVD a = U S V^T gives both parts, r = U V^T and
 p = V S V^T, and with them the symmetric root p^(1/L) = V S^(1/L) V^T
 (Higham, Functions of Matrices, 2008, ch. 7-8).
 
-Principal roots are real matrices.  The orthogonal root comes from the real
-Schur form: rotation blocks have their angles divided by L, so an eigenvalue
-at -1 (rotation by pi) has no real principal root and is rejected loudly.
+Principal roots are real matrices.  The rotation r is normal, so all its
+powers r^(k/L) come from one eigendecomposition, each eigenvalue
+e^(i theta) going to e^(i k theta / L) (ch. 7); an eigenvalue at -1
+(rotation by pi) has no real principal root and is rejected loudly.
 """
 
 from __future__ import annotations
@@ -19,13 +20,12 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NoRealRootError, NumericError, SingularInputError
-from .matcore import as_mat, cond_estimate, frob_norm, rotation, singular_values, sym
+from .matcore import as_mat, cond_estimate, frob_norm, singular_values, sym
 
 ORTHO_TOL = 1e-8
-# Schur block angles within this of +-pi count as an eigenvalue at -1.
+# Eigenvalue angles within this of +-pi count as an eigenvalue at -1.
 NEG_ONE_ANGLE_TOL = 1e-8
 SPD_FLOOR = 1e-12
 RECON_TOL = 1e-8
@@ -50,12 +50,37 @@ class FactorizationResult:
         return float(np.max(np.abs(singular_values(self.factors) - self.root_singular_values)))
 
 
+def _orthogonal_powers(r: np.ndarray, L: int) -> np.ndarray:
+    """The principal powers r ** (k/L), k = 0..L, of an orthogonal r as one
+    (L + 1, d, d) stack.  With r = V diag(lambda) V^-1, r ** x is
+    sum_j lambda_j ** x v_j (V^-1)_j, so all are rows of one complex product.
+    Entry 0 is exactly I, and at L == 1 entry 1 is r itself."""
+    d = len(r)
+    if L == 1:
+        return np.stack([np.eye(d), r])
+    try:
+        lam, v = np.linalg.eig(r)
+        v_inv = np.linalg.inv(v)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eig failed in orthogonal root: {exc}") from exc
+    theta = np.angle(lam)
+    near_pi = np.flatnonzero(np.pi - np.abs(theta) < NEG_ONE_ANGLE_TOL)
+    if near_pi.size:
+        j = near_pi[0]
+        angle = "" if lam[j].imag == 0.0 else f" (rotation angle {theta[j]:.6f})"
+        raise NoRealRootError(f"eigenvalue at -1{angle}; no real principal root exists")
+    outer = (v.T[:, :, None] * v_inv[:, None, :]).reshape(d, d * d)
+    lam_x = np.exp(np.arange(L + 1)[:, None] / L * np.log(lam + 0j))
+    powers = np.ascontiguousarray((lam_x @ outer).real).reshape(L + 1, d, d)
+    powers[0] = np.eye(d)
+    return powers
+
+
 def principal_root_orthogonal(r, L: int) -> np.ndarray:
     """Principal L-th root of an orthogonal matrix, itself orthogonal.
 
-    Works on the real Schur form: 1x1 blocks must be positive (an eigenvalue
-    at -1 admits no real principal root), 2x2 rotation blocks get their angle
-    divided by L.
+    Each eigenvalue e^(i theta) of r becomes e^(i theta / L); an eigenvalue
+    at -1 admits no real principal root.
     """
     r = as_mat(r)
     d = len(r)
@@ -63,44 +88,16 @@ def principal_root_orthogonal(r, L: int) -> np.ndarray:
         raise ValueError("L must be a positive integer")
     if frob_norm(r.T @ r - np.eye(d)) > ORTHO_TOL * d:
         raise ValueError("input is not orthogonal within tolerance")
-    if L == 1:
-        return r.copy()
-    t, q = scipy.linalg.schur(r, output="real")
-    root_t = np.zeros_like(t)
-    k = 0
-    while k < d:
-        two_by_two = k + 1 < d and abs(t[k + 1, k]) > 1e-13 * max(1.0, abs(t[k, k]))
-        if two_by_two:
-            c = (t[k, k] + t[k + 1, k + 1]) / 2.0
-            s = (t[k + 1, k] - t[k, k + 1]) / 2.0
-            theta = float(np.arctan2(s, c))
-            if np.pi - abs(theta) < NEG_ONE_ANGLE_TOL:
-                raise NoRealRootError(
-                    f"eigenvalue at -1 (rotation angle {theta:.6f}); "
-                    "no real principal root exists"
-                )
-            # Near-orthogonal input may carry magnitude slightly off 1.
-            mag = float(np.sqrt(max(t[k, k] * t[k + 1, k + 1] - t[k, k + 1] * t[k + 1, k], SPD_FLOOR)))
-            root_t[k : k + 2, k : k + 2] = mag ** (1.0 / L) * rotation(theta / L)
-            k += 2
-        else:
-            val = t[k, k]
-            if val < 0.0:
-                raise NoRealRootError(
-                    "eigenvalue at -1; no real principal root exists"
-                )
-            root_t[k, k] = val ** (1.0 / L)
-            k += 1
-    return q @ root_t @ q.T
+    return _orthogonal_powers(r, L)[1]
 
 
 def balanced_factorization(a, L: int) -> FactorizationResult:
     """Split ``a`` into L factors with identical singular values.
 
     With a = r p polar, factor i is ``r1 @ (rk @ p1 @ rk.T)`` where r1, p1
-    are the principal L-th roots and rk = r1 ** (L - i); the conjugations
-    cancel in the product.  Both roots come from the one SVD a = U S V^T:
-    r1 is the orthogonal root of U V^T and p1 = V S^(1/L) V^T.  Factors are
+    are the principal L-th roots and rk = r ** ((L - i)/L); the conjugations
+    cancel in the product.  One SVD a = U S V^T gives p1 = V S^(1/L) V^T,
+    and one eigendecomposition of r = U V^T every power of r.  Factors are
     returned as one stack in product order, so ``factors[0] @ ... @
     factors[-1]`` reconstructs ``a``.  A numerically singular input raises
     SingularInputError; a failed reconstruction raises NumericError.
@@ -119,17 +116,12 @@ def balanced_factorization(a, L: int) -> FactorizationResult:
             f"input is numerically singular (sigma_min={s[-1]:.3e}); "
             "polar factors would not support root-taking"
         )
-    r_root = principal_root_orthogonal(u @ vt, L)
+    powers = _orthogonal_powers(u @ vt, L)
     s_root = s ** (1.0 / L)
     p_root = sym((vt.T * s_root) @ vt)
-
-    powers = np.empty((L,) + a.shape)
-    powers[0] = np.eye(a.shape[0])
-    for k in range(1, L):
-        np.matmul(powers[k - 1], r_root, out=powers[k])
-    # factor i conjugates by r_root ** (L - i)
-    rk = powers[::-1]
-    factors = r_root @ rk @ p_root @ rk.transpose(0, 2, 1)
+    # factor i conjugates by r ** ((L - i)/L)
+    rk = powers[L - 1 :: -1]
+    factors = powers[1] @ rk @ p_root @ rk.transpose(0, 2, 1)
 
     recon = frob_norm(reduce(np.matmul, factors) - a) / max(frob_norm(a), 1.0)
     if recon > RECON_TOL:

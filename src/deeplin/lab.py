@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ConfigError, NumericError
 from .matcore import MAX_DIM, as_mat, frob_norm, rotation, sym
 from .project import gamma_margin
-from .trainers import RUNNERS, StepSchedule, TrainerConfig, TrainingTrace
+from .trainers import RUNNERS, StepSchedule, TrainerConfig, TrainingTrace, _usable_cpus
 from .verify import (
     CheckReport,
     check_commuting_normal,
@@ -466,9 +466,9 @@ def sweep(directory, workers: int | None = None) -> list:
     """Run every ``*.json`` scenario in a directory, in sorted order.
 
     Concurrency is bounded by ``workers`` (default: the DEEPLIN_WORKERS
-    environment variable, falling back to 1), by the CPU count and by the
-    number of configs.  A config that fails to load or validate gets a
-    ``config-error`` report in its place.
+    environment variable, falling back to 1), by the CPUs this process may
+    run on and by the number of configs.  A config that fails to load or
+    validate gets a ``config-error`` report in its place.
     """
     directory = Path(directory)
     paths = sorted(str(p) for p in directory.glob("*.json"))
@@ -476,7 +476,7 @@ def sweep(directory, workers: int | None = None) -> list:
         raise ConfigError(f"no scenario configs found in {directory}")
     if workers is None:
         workers = default_workers()
-    workers = min(workers, len(paths), os.cpu_count() or 1)
+    workers = min(workers, len(paths), _usable_cpus())
     if workers <= 1:
         return [_run_scenario_path(p) for p in paths]
     with ProcessPoolExecutor(max_workers=workers) as pool:

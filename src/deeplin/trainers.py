@@ -243,13 +243,17 @@ def _chunk_stats(chunk, prods, eye):
     return sv.min(axis=1), sv.max(axis=1), dev.max(axis=1), spectra
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; bounds the recorder pool and sweep."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _pool_size() -> int:
     """Recorder pool threads: one fewer than the ring's buffers, at most one
-    per CPU this process may run on, and none on one CPU."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
+    per usable CPU, and none on one CPU."""
+    cpus = _usable_cpus()
     return min(_RING - 1, cpus) if cpus > 1 else 0
 
 

@@ -4,27 +4,83 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from deeplin.errors import NoRealRootError, SingularInputError
-from deeplin.factor import balanced_factorization, principal_root_orthogonal
+from deeplin import factor
+from deeplin.errors import NoRealRootError, NumericError, SingularInputError
+from deeplin.factor import (
+    NEG_ONE_ANGLE_TOL,
+    ORTHO_TOL,
+    SPD_FLOOR,
+    balanced_factorization,
+    principal_root_orthogonal,
+)
 from deeplin.lab import random_orthogonal
-from deeplin.matcore import rotation, sym
+from deeplin.matcore import as_mat, frob_norm, rotation, sym
+
+EPS = np.finfo(float).eps
+
+
+def _schur_root(r, L: int) -> np.ndarray:
+    """Principal L-th root of an orthogonal matrix, itself orthogonal.
+
+    Works on the real Schur form: 1x1 blocks must be positive (an eigenvalue
+    at -1 admits no real principal root), 2x2 rotation blocks get their angle
+    divided by L.
+    """
+    r = as_mat(r)
+    d = len(r)
+    if not isinstance(L, (int, np.integer)) or L < 1:
+        raise ValueError("L must be a positive integer")
+    if frob_norm(r.T @ r - np.eye(d)) > ORTHO_TOL * d:
+        raise ValueError("input is not orthogonal within tolerance")
+    if L == 1:
+        return r.copy()
+    t, q = scipy.linalg.schur(r, output="real")
+    root_t = np.zeros_like(t)
+    k = 0
+    while k < d:
+        two_by_two = k + 1 < d and abs(t[k + 1, k]) > 1e-13 * max(1.0, abs(t[k, k]))
+        if two_by_two:
+            c = (t[k, k] + t[k + 1, k + 1]) / 2.0
+            s = (t[k + 1, k] - t[k, k + 1]) / 2.0
+            theta = float(np.arctan2(s, c))
+            if np.pi - abs(theta) < NEG_ONE_ANGLE_TOL:
+                raise NoRealRootError(
+                    f"eigenvalue at -1 (rotation angle {theta:.6f}); "
+                    "no real principal root exists"
+                )
+            # Near-orthogonal input may carry magnitude slightly off 1.
+            mag = float(np.sqrt(max(t[k, k] * t[k + 1, k + 1] - t[k, k + 1] * t[k + 1, k], SPD_FLOOR)))
+            root_t[k : k + 2, k : k + 2] = mag ** (1.0 / L) * rotation(theta / L)
+            k += 2
+        else:
+            val = t[k, k]
+            if val < 0.0:
+                raise NoRealRootError(
+                    "eigenvalue at -1; no real principal root exists"
+                )
+            root_t[k, k] = val ** (1.0 / L)
+            k += 1
+    return q @ root_t @ q.T
 
 
 def _eigh_reference(a, L):
     """The factors as built with the symmetric root from an
     eigendecomposition of the polar factor p = V S V^T (the construction
     before the root was read off the SVD)."""
-    d = a.shape[0]
     u, s, vt = np.linalg.svd(a)
     p = sym(vt.T @ (s[:, None] * vt))
     w, v = np.linalg.eigh(sym(p))
     p_root = sym((v * w ** (1.0 / L)) @ v.T)
-    r_root = principal_root_orthogonal(u @ vt, L)
-    powers = [np.eye(d)]
-    for _ in range(1, L):
-        powers.append(powers[-1] @ r_root)
-    rk = np.array(powers[::-1])
-    return r_root @ rk @ p_root @ rk.transpose(0, 2, 1)
+    powers = factor._orthogonal_powers(u @ vt, L)
+    rk = powers[L - 1 :: -1]
+    return powers[1] @ rk @ p_root @ rk.transpose(0, 2, 1)
+
+
+def _rotation_powers(q, angles, d, x):
+    """q R(x angles) q^T: the rotation with these plane angles, to the real
+    power x, padded with a fixed axis when d is odd."""
+    blocks = [rotation(x * t) for t in angles] + [np.eye(1)] * (d - 2 * len(angles))
+    return q @ scipy.linalg.block_diag(*blocks) @ q.T
 
 
 def _gamma_positive(rng, d):
@@ -149,6 +205,110 @@ def test_orthogonal_root_matches_matrix_log_route():
             root = principal_root_orthogonal(r, L)
             ref = scipy.linalg.expm(scipy.linalg.logm(r) / L).real
             np.testing.assert_allclose(root, ref, atol=1e-9)
+
+
+def test_orthogonal_powers_match_schur_walk():
+    # every power r ** (k/L) against the constructed rotation and against
+    # the Schur root chained k times; the root itself against the walk
+    rng = np.random.default_rng(26)
+    for _ in range(60):
+        d = int(rng.integers(1, 17))
+        L = int(rng.integers(1, 65))
+        q = random_orthogonal(d, rng)
+        angles = rng.uniform(-3.0, 3.0, d // 2)
+        r = _rotation_powers(q, angles, d, 1.0)
+        powers = factor._orthogonal_powers(r, L)
+        schur = _schur_root(r, L)
+        np.testing.assert_allclose(principal_root_orthogonal(r, L), schur, rtol=0, atol=2e-14)
+        assert powers.shape == (L + 1, d, d)
+        assert np.array_equal(powers[0], np.eye(d))
+        chained = np.eye(d)
+        for k in range(L + 1):
+            exact = _rotation_powers(q, angles, d, k / L)
+            np.testing.assert_allclose(powers[k], exact, rtol=0, atol=2e-14)
+            np.testing.assert_allclose(powers[k], chained, rtol=0, atol=1e-12)
+            chained = chained @ schur
+
+
+@pytest.mark.parametrize(
+    "near_pi",
+    [
+        pytest.param((1e-3,), id="one-plane-1e-3"),
+        pytest.param((1e-5,), id="one-plane-1e-5"),
+        pytest.param((1e-7,), id="one-plane-1e-7"),
+        pytest.param((1e-3, 2e-3), id="two-planes-1e-3"),
+        pytest.param((1e-3, -2e-3), id="two-planes-opposite-1e-3"),
+    ],
+)
+def test_orthogonal_root_near_pi_matches_schur_walk(near_pi):
+    # a plane at pi - delta has root error ~ eps / delta on either route
+    rng = np.random.default_rng(27)
+    delta = min(abs(x) for x in near_pi)
+    for _ in range(20):
+        d = int(rng.integers(2 * len(near_pi), 17))
+        L = int(rng.integers(2, 65))
+        angles = [np.copysign(np.pi - abs(x), x) for x in near_pi]
+        angles += list(rng.uniform(-3.0, 3.0, d // 2 - len(angles)))
+        r = _rotation_powers(random_orthogonal(d, rng), angles, d, 1.0)
+        powers = factor._orthogonal_powers(r, L)
+        np.testing.assert_allclose(powers[1], _schur_root(r, L), rtol=0, atol=20 * EPS / delta)
+        np.testing.assert_allclose(powers[L], r, rtol=0, atol=2e-14)
+
+
+def test_orthogonal_root_at_pi_names_the_angle():
+    r = _rotation_powers(np.eye(4), [np.pi - 1e-9, 0.5], 4, 1.0)
+    with pytest.raises(NoRealRootError, match="rotation angle"):
+        principal_root_orthogonal(r, 3)
+    with pytest.raises(NoRealRootError, match="^eigenvalue at -1; no real"):
+        principal_root_orthogonal(np.diag([1.0, -1.0, -1.0]), 3)
+
+
+@pytest.mark.parametrize(
+    "angles",
+    [
+        pytest.param((0.7, 0.7, 0.7), id="repeated"),
+        pytest.param((0.7, -0.7, 0.7, -0.7), id="repeated-conjugate"),
+        pytest.param((1.0, 1.0 + 1e-8, 1.0 - 1e-8), id="clustered-1e-8"),
+        pytest.param((2.0, 2.0 + 1e-12, 2.0 + 2e-12), id="clustered-1e-12"),
+        pytest.param((2.0, 2.0 + 1e-15, 2.0 - 1e-15, 2.0), id="clustered-1e-15"),
+        pytest.param((0.0, 0.0, 1e-12), id="near-identity"),
+    ],
+)
+def test_orthogonal_root_clustered_angles(angles):
+    rng = np.random.default_rng(28)
+    for d in (2 * len(angles), 2 * len(angles) + 1, 16):
+        q = random_orthogonal(d, rng)
+        r = _rotation_powers(q, angles, d, 1.0)
+        for L in (2, 5, 64):
+            powers = factor._orthogonal_powers(r, L)
+            np.testing.assert_allclose(powers[1], _schur_root(r, L), rtol=0, atol=2e-14)
+            for k in (1, L // 2, L - 1, L):
+                exact = _rotation_powers(q, angles, d, k / L)
+                np.testing.assert_allclose(powers[k], exact, rtol=0, atol=2e-14)
+
+
+def test_orthogonal_root_of_near_orthogonal_input():
+    # inside ORTHO_TOL but not normal: the walk treats each 2x2 block as a
+    # scaled rotation, the eigendecomposition takes the exact principal root
+    rng = np.random.default_rng(29)
+    for _ in range(10):
+        d = int(rng.integers(2, 17))
+        L = int(rng.integers(2, 17))
+        r = _rotation_powers(random_orthogonal(d, rng), rng.uniform(-3.0, 3.0, d // 2), d, 1.0)
+        r = r + 1e-10 * rng.standard_normal((d, d))
+        assert frob_norm(r.T @ r - np.eye(d)) <= ORTHO_TOL * d
+        root = principal_root_orthogonal(r, L)
+        np.testing.assert_allclose(root, _schur_root(r, L), rtol=0, atol=1e-9)
+        np.testing.assert_allclose(np.linalg.matrix_power(root, L), r, rtol=0, atol=1e-13)
+
+
+def test_failed_eigendecomposition_is_numeric_error(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", fail)
+    with pytest.raises(NumericError, match="eig failed"):
+        balanced_factorization(np.array([[1.0, 0.5], [-0.5, 1.0]]), 3)
 
 
 def test_spd_root_diagonal():

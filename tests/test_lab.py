@@ -717,6 +717,7 @@ def serial_pool(monkeypatch, cpus):
             return map(fn, items)
 
     monkeypatch.setattr(lab, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(lab.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     monkeypatch.setattr(lab.os, "cpu_count", lambda: cpus)
     return seen
 
@@ -745,6 +746,15 @@ def test_sweep_starts_no_more_workers_than_cpus(tmp_path, monkeypatch):
     # one CPU runs the configs in this process, without a pool
     seen = serial_pool(monkeypatch, cpus=1)
     assert len(sweep(tmp_path, workers=10**6)) == 3
+    assert seen == []
+
+
+def test_sweep_counts_the_cpus_this_process_may_use(tmp_path, monkeypatch):
+    # a host with 8 CPUs of which this process may run on one
+    seen = serial_pool(monkeypatch, cpus=8)
+    monkeypatch.setattr(lab.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    write_sweep_configs(tmp_path, 3)
+    assert [r.status for r in sweep(tmp_path, workers=4)] == ["converged"] * 3
     assert seen == []
 
 
