@@ -22,7 +22,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import NoRealRootError, NumericError, SingularInputError
-from .matcore import as_mat, cond_estimate, frob_norm, singular_values, sym
+from .matcore import as_mat, cond_estimate, eye, frob_norm, singular_values, sym
 
 ORTHO_TOL = 1e-8
 # Eigenvalue angles within this of +-pi count as an eigenvalue at -1.
@@ -57,7 +57,7 @@ def _orthogonal_powers(r: np.ndarray, L: int) -> np.ndarray:
     Entry 0 is exactly I, and at L == 1 entry 1 is r itself."""
     d = len(r)
     if L == 1:
-        return np.stack([np.eye(d), r])
+        return np.stack([eye(d), r])
     try:
         lam, v = np.linalg.eig(r)
         v_inv = np.linalg.inv(v)
@@ -72,7 +72,7 @@ def _orthogonal_powers(r: np.ndarray, L: int) -> np.ndarray:
     outer = (v.T[:, :, None] * v_inv[:, None, :]).reshape(d, d * d)
     lam_x = np.exp(np.arange(L + 1)[:, None] / L * np.log(lam + 0j))
     powers = np.ascontiguousarray((lam_x @ outer).real).reshape(L + 1, d, d)
-    powers[0] = np.eye(d)
+    powers[0] = eye(d)
     return powers
 
 
@@ -86,7 +86,7 @@ def principal_root_orthogonal(r, L: int) -> np.ndarray:
     d = len(r)
     if not isinstance(L, (int, np.integer)) or L < 1:
         raise ValueError("L must be a positive integer")
-    if frob_norm(r.T @ r - np.eye(d)) > ORTHO_TOL * d:
+    if frob_norm(r.T @ r - eye(d)) > ORTHO_TOL * d:
         raise ValueError("input is not orthogonal within tolerance")
     return _orthogonal_powers(r, L)[1]
 
@@ -105,6 +105,12 @@ def balanced_factorization(a, L: int) -> FactorizationResult:
     a = as_mat(a)
     if not isinstance(L, (int, np.integer)) or L < 1:
         raise ValueError("L must be a positive integer")
+    return _balanced(a, L)
+
+
+def _balanced(a: np.ndarray, L: int) -> FactorizationResult:
+    """``balanced_factorization`` of a finite square matrix and a positive
+    integer L, unchecked; the singular-input and reconstruction checks stay."""
     try:
         u, s, vt = np.linalg.svd(a)
     except np.linalg.LinAlgError as exc:

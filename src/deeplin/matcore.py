@@ -8,11 +8,14 @@ Conventions that the rest of the package relies on:
   place that checks shape, finiteness and the dimension bound below;
   ``DeepLinearNet`` adds the layer-count bound.
 * ``is_symmetric`` is the package's one symmetry test.
+* ``eye(d)`` is the package's one identity, read-only and made once per d.
 * Tolerances are relative to the Frobenius scale of the operands with an
   absolute floor of ``ABS_FLOOR``.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -54,6 +57,14 @@ def as_mat(a, name: str = "matrix") -> np.ndarray:
 def as_stack(a, name: str = "stack") -> np.ndarray:
     """Validate ``a`` as a nonempty (n, d, d) float64 stack and return it."""
     return _checked(a, 3, name)
+
+
+@functools.cache
+def eye(d: int) -> np.ndarray:
+    """The read-only d x d identity, made on the first call for each d."""
+    out = np.eye(d)
+    out.flags.writeable = False
+    return out
 
 
 def is_symmetric(a):

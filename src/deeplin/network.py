@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .matcore import MAX_HESSIAN_SIDE, MAX_LAYERS, as_mat, as_stack, singular_values
+from .matcore import MAX_HESSIAN_SIDE, MAX_LAYERS, as_mat, as_stack, eye, singular_values
 
 
 @dataclass(frozen=True)
@@ -92,12 +92,22 @@ def prefix_suffix_products(layers: np.ndarray):
     L, d, _ = layers.shape
     pre = np.empty((L + 1, d, d))
     suf = np.empty((L + 1, d, d))
-    pre[0] = suf[L] = np.eye(d)
-    for k, layer in enumerate(layers):
-        np.dot(layer, pre[k], out=pre[k + 1])
-    for k in range(L - 1, -1, -1):
-        np.dot(suf[k + 1], layers[k], out=suf[k])
+    pre[0] = suf[L] = eye(d)
+    for a, b, out in _chain(layers, pre, suf):
+        np.dot(a, b, out=out)
     return pre, suf
+
+
+def _chain(layers, pre, suf):
+    """The 2L ``(a, b, out)`` triples whose ``np.dot(a, b, out=out)`` calls,
+    in order, fill P[1..L] and S[L-1..0] of ``prefix_suffix_products`` from
+    P[0] and S[L].  A list of them serves every step that rewrites
+    ``layers`` in place."""
+    L = len(layers)
+    for k in range(L):
+        yield layers[k], pre[k], pre[k + 1]
+    for k in range(L - 1, -1, -1):
+        yield suf[k + 1], layers[k], suf[k]
 
 
 def layer_gradients(pre: np.ndarray, suf: np.ndarray, residual: np.ndarray) -> np.ndarray:
@@ -111,7 +121,7 @@ def product(layers) -> np.ndarray:
     leading index: ``layers[..., k, :, :] @ prod`` for k = 0..L-1 from the
     identity, the association of the prefix products."""
     layers = np.asarray(layers)
-    prod = np.eye(layers.shape[-1])
+    prod = eye(layers.shape[-1])
     for k in range(layers.shape[-3]):
         prod = layers[..., k, :, :] @ prod
     return prod

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import as_mat, as_stack, is_symmetric, singular_values, skew, sym
+from .matcore import as_mat, as_stack, eye, is_symmetric, singular_values, skew, sym
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class IdentityBall:
     psd_constrained: bool = False
 
     def __post_init__(self):
-        if self.radius < 0.0:
+        if not self.radius >= 0.0:
             raise ValueError("radius must be nonnegative")
 
 
@@ -50,7 +50,11 @@ def project_gamma_positive(a, gamma: float) -> np.ndarray:
     """
     if not gamma > 0.0:
         raise ValueError("gamma must be positive")
-    a = as_mat(a)
+    return _gamma_kernel(as_mat(a), gamma)
+
+
+def _gamma_kernel(a: np.ndarray, gamma: float) -> np.ndarray:
+    """``project_gamma_positive`` of a finite square matrix, unchecked."""
     s = sym(a)
     w, v = np.linalg.eigh(s)
     if w[0] >= gamma:
@@ -71,11 +75,10 @@ def project_identity_ball(a, ball: IdentityBall) -> np.ndarray:
     commutes with the input.  Feasible matrices are returned unchanged.
     """
     stack = as_stack(a) if np.ndim(a) == 3 else as_mat(a)[None]
-    out = stack.copy()
-    d = stack.shape[-1]
     if ball.psd_constrained:
         if not np.all(is_symmetric(stack)):
             raise ValueError("psd-constrained projection requires symmetric input")
+        out = stack.copy()
         w, v = np.linalg.eigh(sym(stack))
         lo = max(0.0, 1.0 - ball.radius)
         hi = 1.0 + ball.radius
@@ -84,9 +87,22 @@ def project_identity_ball(a, ball: IdentityBall) -> np.ndarray:
             v = v[clip]
             out[clip] = sym((v * np.clip(w[clip], lo, hi)[:, None, :]) @ np.swapaxes(v, 1, 2))
     else:
-        e = stack - np.eye(d)
-        clip = singular_values(e)[:, 0] > ball.radius
-        if np.any(clip):
-            u, s, vt = np.linalg.svd(e[clip])
-            out[clip] = np.eye(d) + u @ (np.minimum(s, ball.radius)[:, :, None] * vt)
+        out = _ball_kernel(stack, ball.radius)
+        if out is stack:
+            out = stack.copy()
     return out if np.ndim(a) == 3 else out[0]
+
+
+def _ball_kernel(stack: np.ndarray, radius: float) -> np.ndarray:
+    """The general-mode ball projection of a finite (n, d, d) stack,
+    unchecked: ``stack`` itself when no matrix clips, else a copy with the
+    clipping matrices replaced."""
+    eye_d = eye(stack.shape[-1])
+    e = stack - eye_d
+    clip = singular_values(e)[:, 0] > radius
+    if not np.any(clip):
+        return stack
+    out = stack.copy()
+    u, s, vt = np.linalg.svd(e[clip])
+    out[clip] = eye_d + u @ (np.minimum(s, radius)[:, :, None] * vt)
+    return out

@@ -2,10 +2,13 @@
 
 ``_train`` holds the layers as one ``(L, d, d)`` array, starts from scaled
 identity layers and updates every layer simultaneously from the same
-pre-step iterate.  It owns the loss, the divergence, convergence and budget
-stops, the trace rows, the step-size schedule and the gradient step.  A
-step that leaves the layers, or the product the loss is taken from,
+pre-step iterate.  It owns the loss, the divergence, convergence and
+budget stops, the trace rows, the step-size schedule and the gradient step.
+A step that leaves the layers, or the product the loss is taken from,
 non-finite ends the run as ``diverged`` with the last finite iterate kept.
+A run allocates its workspace once and a step writes only into the idle
+one of two layer buffers, making the same calls as on fresh arrays, so the
+last finite iterate needs no copy and the trace is that of fresh arrays.
 The trainers differ only in the update rule and an optional settle step:
 
 * ``run_gd``: the plain gradient step.
@@ -25,13 +28,15 @@ values-only SVDs and the batched ``eigvals``) on a module-level thread pool
 while the loop runs on; numpy releases the GIL in those calls.  The running
 maxima, the tables and the recorded layers stay on the caller's thread, in
 chunk order, and each job makes the same LAPACK calls on the same bytes, so
-the trace is bitwise that of taking every chunk inline.  The pool has
+the trace is bitwise that of taking every chunk inline.  A large final
+partial chunk is shared between the pool and the caller.  The pool has
 min(_RING - 1, CPUs) threads, counting the CPUs this process may run on,
-and is not created on one CPU.
+is not created on one CPU, and once created lives for the process.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from collections import deque
@@ -43,8 +48,8 @@ import numpy as np
 from . import matcore
 from .errors import ConfigError, NumericError
 from .factor import balanced_factorization
-from .matcore import as_mat, frob_norm, op_norm
-from .network import layer_gradients, prefix_suffix_products, product, residual_loss
+from .matcore import as_mat, eye, frob_norm, op_norm
+from .network import _chain, product, residual_loss
 from .project import IdentityBall, gamma_margin, project_gamma_positive, project_identity_ball
 
 DIVERGE_LOSS = 1e12
@@ -56,6 +61,9 @@ _MAX_RECORDED_ENTRIES = matcore.MAX_HESSIAN_SIDE**2
 _CHUNK_ENTRIES = 2**15
 # Chunk buffers a recorder may hold while the pool works on full ones.
 _RING = 4
+# A final partial chunk of at least this many layer entries is shared
+# between the pool and the caller.
+_SPLIT_ENTRIES = 2**11
 _POOL = None  # created by _pool on first use
 
 @dataclass(frozen=True)
@@ -76,13 +84,13 @@ class StepSchedule:
 
     def validate(self, algorithm: str):
         # eta = 0 is a legal no-op step (the kappa = 1 penalty fixed point
-        # needs it); only negative steps are rejected
+        # needs it); negative and non-finite steps are rejected
         if self.mode == "constant":
-            if not self.eta >= 0.0:
-                raise ConfigError("constant schedule needs eta >= 0")
+            if not 0.0 <= self.eta < math.inf:
+                raise ConfigError("constant schedule needs a finite eta >= 0")
         elif self.mode == "sequence":
-            if len(self.etas) == 0 or any(e < 0.0 for e in self.etas):
-                raise ConfigError("sequence schedule needs nonnegative entries")
+            if len(self.etas) == 0 or not all(0.0 <= e < math.inf for e in self.etas):
+                raise ConfigError("sequence schedule needs finite nonnegative entries")
         elif self.mode == "admissible":
             if algorithm != "gd":
                 raise ConfigError("admissible schedule is defined for gd only")
@@ -129,7 +137,7 @@ class TrainerConfig:
             raise ConfigError(f"L={self.L} outside [1, {matcore.MAX_LAYERS}]")
         if self.max_iters < 0:
             raise ConfigError("max_iters must be nonnegative")
-        if self.epsilon < 0.0:
+        if not self.epsilon >= 0.0:
             raise ConfigError("epsilon must be nonnegative")
         recorded = (self.max_iters + 1) * self.L * self.d**2
         if self.record_layers and recorded > _MAX_RECORDED_ENTRIES:
@@ -141,7 +149,7 @@ class TrainerConfig:
         if self.algorithm in ("power_projection", "step_and_project"):
             if not self.gamma > 0.0:
                 raise ConfigError(f"{self.algorithm} needs gamma > 0")
-        if self.algorithm == "step_and_project" and self.psi < 0.0:
+        if self.algorithm == "step_and_project" and not self.psi >= 0.0:
             raise ConfigError("psi must be nonnegative")
         if self.algorithm == "penalty_gd" and not 0.0 <= self.kappa <= 1.0:
             raise ConfigError("kappa must lie in [0, 1]")
@@ -289,25 +297,28 @@ class _Recorder:
     A full chunk goes to the module's thread pool as one ``_chunk_stats``
     job, and the loop fills the next buffer of a ring of at most ``_RING``
     while the pool works; with every buffer busy it waits for the oldest
-    job.  A buffer is allocated only when the previous one fills and the
-    pool is created only then, so a run that never fills a chunk starts no
-    thread.  What depends on order stays on the caller's thread, in chunk
-    order: the recorded layers grow when a chunk is submitted, and the
-    running maxima, tables and spectra are taken up as jobs are collected.
-    The same calls on the same bytes give the same values on any thread.
-    Without a pool every chunk is taken inline.  ``radius`` (read every
-    step by the admissible schedule) and ``columns`` take the partial chunk
-    inline and collect every job.  Recorded layers grow in place a chunk at
-    a time, so the snapshots are held once; ``columns`` hands them to the
-    trace without a copy.
+    job.  A buffer is allocated only when the previous one fills.  What
+    depends on order stays on the caller's thread, in chunk order: the
+    recorded layers grow when a chunk is submitted, and the running maxima,
+    tables and spectra are taken up as jobs are collected.  The same calls
+    on the same bytes give the same values on any thread.  Without a pool
+    every chunk is taken inline.  ``radius`` (read every step by the
+    admissible schedule) and ``columns`` flush: they take the partial chunk
+    and collect every job.  A partial of at least ``_SPLIT_ENTRIES`` layer
+    entries sends its first half to the pool while the caller takes the
+    second.  The pool is created on the first full chunk or the first such
+    split, so a run that does neither starts no thread.  Recorded layers
+    grow in place a chunk at a time, so the snapshots are held once;
+    ``columns`` hands them to the trace without a copy.
     """
 
     def __init__(self, phi: np.ndarray, cfg: TrainerConfig):
         d, L = cfg.d, cfg.L
         self.size = max(1, _CHUNK_ENTRIES // (L * d * d))
         self.shape = (L, d, d)
+        self.entries = L * d * d
         self.spectra_on = cfg.record_spectra
-        self.eye = np.eye(d)
+        self.eye = eye(d)
         self.slot = self._new_slot()
         self.free: list = []
         self.pending: deque = deque()  # (job, slot), oldest first
@@ -366,17 +377,31 @@ class _Recorder:
         self.free.append(slot)
 
     def _flush(self):
-        """Take the partial chunk's statistics inline while the pool
-        finishes, then collect every job and take the partial up last."""
+        """Take the partial chunk's statistics while the pool finishes, then
+        collect every job and take the partial up last.  A partial of at
+        least ``_SPLIT_ENTRIES`` layer entries is split in two: its first
+        half goes to the pool as one more job and the caller takes the
+        second; the halves are taken up in order."""
         n, self.n = self.n, 0
+        cut, job = 0, None
         if n:
-            buf, prods, table = self.slot
-            stats = _chunk_stats(buf[:n], None if prods is None else prods[:n], self.eye)
+            buf, _, table = self.slot
+            if n > 1 and n * self.entries >= _SPLIT_ENTRIES and (pool := _pool()):
+                cut = n // 2
+                job = pool.submit(_chunk_stats, *self._part(0, cut))
+            stats = _chunk_stats(*self._part(cut, n))
         while self.pending:
             self._collect()
         if n:
             self._grow_layers(buf[:n])
-            self._take_up(table[:, :n], stats)
+            if job is not None:
+                self._take_up(table[:, :cut], job.result())
+            self._take_up(table[:, cut:n], stats)
+
+    def _part(self, lo, hi):
+        """``_chunk_stats`` arguments for rows lo..hi of the current buffer."""
+        buf, prods, _ = self.slot
+        return buf[lo:hi], None if prods is None else prods[lo:hi], self.eye
 
     def _grow_layers(self, chunk):
         if self.layers is not None:
@@ -421,8 +446,11 @@ def _step_size(phi: np.ndarray, cfg: TrainerConfig):
     return lambda t, rec, loss_val: schedule.step(t)
 
 
-def _plain_step(layers, grads, eta):
-    return layers - eta * grads
+def _plain_step(layers, grads, eta, out):
+    """The gradient step ``layers - eta * grads``, written into ``out``;
+    ``grads`` is scratch."""
+    np.multiply(grads, eta, out=grads)
+    np.subtract(layers, grads, out=out)
 
 
 def _train(
@@ -430,31 +458,49 @@ def _train(
 ):
     """The training loop shared by every trainer, from layers scale * I.
 
-    ``update(layers, grads, eta)`` returns the stepped (L, d, d) layers.
-    ``settle(stepped)``, when given, returns ``(layers, prod, loss_half)``:
-    the next iterate, the product its loss is taken from (None for the
-    layers' own product), and the half-step loss to record with it.
-    ``prod`` plays the same role for the start.  Layers are never modified
-    in place, so the last finite iterate is kept by reference; the recorder
-    copies each iterate into its chunk buffer and takes the statistics a
-    chunk at a time, flushing early only when the schedule reads the radius.
+    ``update(layers, grads, eta, out)`` writes the stepped (L, d, d) layers
+    into ``out`` and may overwrite ``grads``.  ``settle(stepped)``, when
+    given, returns ``(layers, prod, loss_half)``: the next iterate (which
+    may be ``stepped`` itself), the product its loss is taken from (None
+    for the layers' own product), and the half-step loss to record with it.
+    ``prod`` plays the same role for the start.
+
+    The run allocates its workspace once: two layer buffers, the prefix and
+    suffix stacks with P[0] = S[L] = I, the gradient scratch, and for each
+    buffer the ``network._chain`` triples that refill the stacks from it.
+    A step writes only into the idle buffer, so the last finite iterate is
+    kept by reference when the next step diverges.  The recorder copies
+    each iterate into its chunk buffer and takes the statistics a chunk at
+    a time, flushing early only when the schedule reads the radius.
     """
     step_size = _step_size(phi, cfg)
     rec = _Recorder(phi, cfg)
-    layers = np.tile(scale * np.eye(cfg.d), (cfg.L, 1, 1))
+    L, d = cfg.L, cfg.d
+    bufs = np.empty((2, L, d, d))
+    bufs[0] = scale * eye(d)
+    pre, suf = np.empty((2, L + 1, d, d))
+    pre[0] = suf[L] = eye(d)
+    chains = [list(_chain(layers, pre, suf)) for layers in bufs]
+    # G_i = S[i]^T R P[i-1]^T as two batched products on fixed views
+    suf_t, pre_t = suf[1:].transpose(0, 2, 1), pre[:-1].transpose(0, 2, 1)
+    s_r, grads = np.empty((2, L, d, d))
+    residual = np.empty((d, d))
     etas: list = []
     loss_half = None
     last = None
     status = "budget"
+    cur = 0  # the buffer holding the iterate; the other is idle
     for t in range(cfg.max_iters + 1):
-        pre, suf = prefix_suffix_products(layers)
-        residual = pre[-1] - phi
+        layers = bufs[cur]
+        for a, b, out in chains[cur]:
+            np.dot(a, b, out=out)
+        np.subtract(pre[L], phi, out=residual)
         if prod is None:
-            prod, loss_residual = pre[-1], residual
+            prod, loss_residual = pre[L], residual
         else:
             loss_residual = prod - phi
         loss_val = residual_loss(loss_residual)
-        if not np.isfinite(loss_val) or loss_val > DIVERGE_LOSS:
+        if not loss_val <= DIVERGE_LOSS:  # NaN too
             status = "diverged"
             break
         rec.add(layers, prod, loss_val, loss_half)
@@ -466,11 +512,19 @@ def _train(
             break
         eta = step_size(t, rec, loss_val)
         etas.append(eta)
-        layers = update(layers, layer_gradients(pre, suf, residual), eta)
-        if not np.isfinite(layers).all():
+        np.matmul(suf_t, residual, out=s_r)
+        np.matmul(s_r, pre_t, out=grads)
+        stepped = bufs[1 - cur]
+        update(layers, grads, eta, stepped)
+        if not np.isfinite(stepped).all():
             status = "diverged"
             break
-        layers, prod, loss_half = settle(layers) if settle else (layers, None, None)
+        prod = loss_half = None
+        if settle:
+            settled, prod, loss_half = settle(stepped)
+            if settled is not stepped:
+                stepped[...] = settled
+        cur = 1 - cur
     return TrainingTrace(
         cfg.algorithm, cfg.d, cfg.L, *rec.columns(), etas, status,
         () if last is None else tuple(last), cfg.gamma,
@@ -523,7 +577,7 @@ def run_power_projection(phi, cfg: TrainerConfig) -> TrainingTrace:
         return factors[::-1], projected, loss_half
 
     root = cfg.gamma ** (1.0 / cfg.L)
-    return _train(phi, cfg, root, settle=settle, prod=cfg.gamma * np.eye(cfg.d))
+    return _train(phi, cfg, root, settle=settle, prod=cfg.gamma * eye(cfg.d))
 
 
 def run_step_and_project(phi, cfg: TrainerConfig) -> TrainingTrace:
@@ -549,12 +603,22 @@ def run_penalty_gd(phi, cfg: TrainerConfig) -> TrainingTrace:
     objective, giving theta <- theta - eta (grad + kappa (theta - I)).
     """
     phi = _prepare(phi, cfg, "penalty_gd")
-    eye, kappa = np.eye(cfg.d), cfg.kappa
+    eye_d, kappa = eye(cfg.d), cfg.kappa
+    pull = kappa * eye_d
 
-    def update(layers, grads, eta):
+    # the expressions above, evaluated in the same order into ``out``
+    def update(layers, grads, eta, out):
         if cfg.penalty_canonical:
-            return (1.0 - kappa) * layers + kappa * eye - eta * grads
-        return layers - eta * (grads + kappa * (layers - eye))
+            np.multiply(layers, 1.0 - kappa, out=out)
+            out += pull
+            grads *= eta
+            out -= grads
+        else:
+            np.subtract(layers, eye_d, out=out)
+            out *= kappa
+            out += grads
+            out *= eta
+            np.subtract(layers, out, out=out)
 
     return _train(phi, cfg, update=update)
 

@@ -606,6 +606,33 @@ def test_mistyped_config_is_a_config_error(tmp_path, keys, value):
     ]
 
 
+NON_FINITE = [
+    pytest.param({"algorithm": "step_and_project", "gamma": 1.0, "psi": math.nan},
+                 id="psi-nan"),
+    pytest.param({"epsilon": math.nan}, id="epsilon-nan"),
+    pytest.param({"schedule": {"mode": "constant", "eta": math.inf}}, id="eta-inf"),
+    pytest.param({"schedule": {"mode": "sequence", "etas": [0.1, math.nan]}},
+                 id="etas-nan"),
+    pytest.param({"schedule": {"mode": "sequence", "etas": [math.inf]}}, id="etas-inf"),
+]
+
+
+@pytest.mark.parametrize("trainer", NON_FINITE)
+def test_non_finite_run_parameter_is_a_config_error(tmp_path, trainer):
+    # Python's JSON reader takes the NaN and Infinity literals json.dumps
+    # writes; a step_and_project run with psi NaN used to run as plain gd
+    data = demo_config(scenario_id="bad", checks=[])
+    data["trainer"].update(trainer)
+    with pytest.raises(ConfigError):
+        scenario_from_dict(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert "NaN" in path.read_text() or "Infinity" in path.read_text()
+    with pytest.raises(ConfigError):
+        load_scenario(path)
+    assert cli.main(["run", str(path)]) == 2
+
+
 EXTREME = st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e308, -1.0])
 @pytest.mark.parametrize("target, trainer", [
     pytest.param({"kind": "rotation", "d": 2, "angles": [0.5], "scale": float("inf")},

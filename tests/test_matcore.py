@@ -8,6 +8,7 @@ from deeplin.matcore import (
     MAX_DIM,
     as_mat,
     cond_estimate,
+    eye,
     is_symmetric,
     op_norm,
     rotation,
@@ -86,3 +87,16 @@ def test_svd_failure_reports_conditioning():
     # svd convergence failures cannot be provoked reliably with small finite
     # inputs, so only check the exception type is exported and catchable
     assert issubclass(NumericError, RuntimeError)
+
+
+def test_eye_is_one_read_only_identity_per_dimension():
+    for d in (1, 3, MAX_DIM):
+        a = eye(d)
+        assert a is eye(d)
+        assert a.tobytes() == np.eye(d).tobytes() and a.dtype == np.float64
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            a += 1.0
+        assert a.tobytes() == np.eye(d).tobytes()

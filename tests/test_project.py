@@ -9,6 +9,7 @@ from deeplin.lab import random_orthogonal
 from deeplin.matcore import frob_norm, op_norm, skew, sym
 from deeplin.project import (
     IdentityBall,
+    _ball_kernel,
     project_gamma_positive,
     project_identity_ball,
 )
@@ -299,3 +300,28 @@ def test_identity_ball_nonexpansive(seed, d):
 def test_identity_ball_validation():
     with pytest.raises(ValueError):
         IdentityBall(-0.1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        IdentityBall(float("nan"))
+
+
+@pytest.mark.parametrize("d, L, radius", [(1, 3, 0.2), (2, 3, 0.3), (4, 8, 0.1), (16, 64, 0.5)])
+def test_ball_kernel_on_a_batch_matches_public_calls(d, L, radius):
+    # B stacks of L layers, some inside the ball and some not, as one
+    # (B L, d, d) stack: the kernel gives each piece's public result bitwise
+    rng = np.random.default_rng(d * 100 + L)
+    B = 5
+    scales = rng.uniform(0.0, 3.0 * radius, (B * L, 1, 1))
+    batch = np.eye(d) + scales * rng.standard_normal((B * L, d, d)) / np.sqrt(d)
+    batch[:L] = np.eye(d)  # a piece that does not clip at all
+    ball = IdentityBall(radius)
+    out = _ball_kernel(batch, radius)
+    for b in range(B):
+        piece = batch[b * L:(b + 1) * L]
+        assert out[b * L:(b + 1) * L].tobytes() == project_identity_ball(piece, ball).tobytes()
+    # no clip: the input itself; a clip: a new array, the input untouched
+    inside = batch[:L].copy()
+    assert _ball_kernel(inside, radius) is inside
+    before = batch.copy()
+    assert _ball_kernel(batch, radius) is not batch
+    assert batch.tobytes() == before.tobytes()
+

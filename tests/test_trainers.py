@@ -6,6 +6,7 @@ on 1.1, and the second step lands them on 1.1 + 0.1 * 1.1 * 0.79 = 1.1869.
 """
 
 import dataclasses
+import math
 import sys
 import threading
 import tracemalloc
@@ -16,7 +17,13 @@ import pytest
 from deeplin import trainers
 from deeplin.errors import ConfigError
 from deeplin.matcore import op_norm
-from deeplin.network import DeepLinearNet, full_gradient
+from deeplin.network import (
+    DeepLinearNet,
+    full_gradient,
+    layer_gradients,
+    prefix_suffix_products,
+    residual_loss,
+)
 from deeplin.trainers import (
     DIVERGE_LOSS,
     RUNNERS,
@@ -417,7 +424,7 @@ class PerIterateRecorder:
         if self.cfg.record_spectra:
             self.spectra.append(np.sort_complex(np.linalg.eigvals(prod)))
         if self.cfg.record_layers:
-            self.layers.append(layers)
+            self.layers.append(layers.copy())
 
     def columns(self):
         stats = np.array(self.rows, dtype=float).reshape(-1, 6).T.copy()
@@ -588,3 +595,194 @@ def test_recorded_layers_are_held_once():
     snapshots = trace.layers.nbytes
     assert snapshots == 201 * L * d * d * 8
     assert peak <= snapshots + 4 * 2**20
+
+
+def test_split_final_flush_matches_per_iterate_reference(monkeypatch, recorder_pool):
+    # d=2, L=3 is 12 layer entries an iterate, so a final partial chunk of
+    # 171 rows or more reaches the split size; rows just under and over it,
+    # one row past a full chunk, and an odd split
+    chunk = 300
+    assert 171 * 12 >= trainers._SPLIT_ENTRIES > 170 * 12
+    for size in (2, 3):
+        recorder_pool(size)
+        for algorithm in ALGORITHM_ARGS:
+            for rows in (170, 171, 172, chunk + 171, 2 * chunk + 255):
+                cfg = TrainerConfig(
+                    algorithm, 2, 3, StepSchedule("constant", 0.05), max_iters=rows - 1,
+                    record_spectra=True, record_layers=True, **ALGORITHM_ARGS[algorithm],
+                )
+                trace = run_with_both_recorders(monkeypatch, TARGET, cfg, chunk)
+                assert len(trace.losses) == rows
+        assert trainers._POOL is not None
+        trainers._POOL.shutdown()
+
+
+def test_split_final_flush_takes_the_halves_up_in_order(monkeypatch, recorder_pool):
+    # the pool's half is taken up before the caller's, whichever ends first
+    recorder_pool(2)
+    spans = []
+    stats = trainers._chunk_stats
+
+    def slow_stats(chunk, prods, eye):
+        if threading.current_thread() is not threading.main_thread():
+            threading.Event().wait(0.05)
+        spans.append(len(chunk))
+        return stats(chunk, prods, eye)
+
+    monkeypatch.setattr(trainers, "_chunk_stats", slow_stats)
+    cfg = TrainerConfig("gd", 2, 3, StepSchedule("constant", 0.05), max_iters=200,
+                        record_spectra=True, record_layers=True)
+    run_with_both_recorders(monkeypatch, TARGET, cfg, 1000)
+    assert spans == [101, 100]
+
+
+# --- the loop's workspace ----------------------------------------------------
+
+
+def _head_plain_step(layers, grads, eta):
+    return layers - eta * grads
+
+
+def _head_train(
+    phi, cfg: TrainerConfig, scale=1.0, update=_head_plain_step, settle=None, prod=None
+):
+    """The training loop before its workspace, kept as its oracle: fresh
+    arrays every step, the layers never modified in place."""
+    step_size = trainers._step_size(phi, cfg)
+    rec = trainers._Recorder(phi, cfg)
+    layers = np.tile(scale * np.eye(cfg.d), (cfg.L, 1, 1))
+    etas: list = []
+    loss_half = None
+    last = None
+    status = "budget"
+    for t in range(cfg.max_iters + 1):
+        pre, suf = prefix_suffix_products(layers)
+        residual = pre[-1] - phi
+        if prod is None:
+            prod, loss_residual = pre[-1], residual
+        else:
+            loss_residual = prod - phi
+        loss_val = residual_loss(loss_residual)
+        if not np.isfinite(loss_val) or loss_val > DIVERGE_LOSS:
+            status = "diverged"
+            break
+        rec.add(layers, prod, loss_val, loss_half)
+        last = layers
+        if loss_val <= cfg.epsilon:
+            status = "converged"
+            break
+        if t == cfg.max_iters:
+            break
+        eta = step_size(t, rec, loss_val)
+        etas.append(eta)
+        layers = update(layers, layer_gradients(pre, suf, residual), eta)
+        if not np.isfinite(layers).all():
+            status = "diverged"
+            break
+        layers, prod, loss_half = settle(layers) if settle else (layers, None, None)
+    return TrainingTrace(
+        cfg.algorithm, cfg.d, cfg.L, *rec.columns(), etas, status,
+        () if last is None else tuple(last), cfg.gamma,
+    )
+
+
+def _head_update(cfg):
+    """The allocating update rules the oracle loop steps with."""
+    if cfg.algorithm != "penalty_gd":
+        return _head_plain_step
+    eye, kappa = np.eye(cfg.d), cfg.kappa
+
+    def update(layers, grads, eta):
+        if cfg.penalty_canonical:
+            return (1.0 - kappa) * layers + kappa * eye - eta * grads
+        return layers - eta * (grads + kappa * (layers - eye))
+
+    return update
+
+
+def run_with_both_loops(monkeypatch, phi, cfg):
+    """The run with the workspace loop and with the oracle loop, which gets
+    the same settle step and start but the allocating update rule."""
+    runner = RUNNERS[cfg.algorithm]
+
+    def oracle(phi, cfg, scale=1.0, update=None, settle=None, prod=None):
+        return _head_train(phi, cfg, scale, _head_update(cfg), settle, prod)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = runner(phi, cfg)
+        with monkeypatch.context() as m:
+            m.setattr(trainers, "_train", oracle)
+            ref = runner(phi, cfg)
+    assert_traces_bitwise_equal(trace, ref)
+    return trace
+
+
+PHI3 = np.array([[1.3, -0.6, 0.1], [0.5, 0.9, -0.2], [0.0, 0.3, 1.1]])
+WORKSPACE_CASES = {
+    "gd": dict(algorithm="gd"),
+    "gd-admissible": dict(algorithm="gd", schedule=StepSchedule("admissible")),
+    "gd-default": dict(algorithm="gd", schedule=StepSchedule("default")),
+    "penalty-canonical": dict(algorithm="penalty_gd", kappa=0.2),
+    "penalty-descent": dict(algorithm="penalty_gd", kappa=0.2, penalty_canonical=False),
+    "step_and_project": dict(algorithm="step_and_project", gamma=1.0, psi=0.2),
+    "power_projection": dict(algorithm="power_projection", gamma=0.5),
+    "power_projection-default": dict(algorithm="power_projection", gamma=0.5,
+                                     schedule=StepSchedule("default")),
+}
+
+
+@pytest.mark.parametrize("case", WORKSPACE_CASES)
+@pytest.mark.parametrize("L", [1, 4])
+def test_workspace_loop_matches_allocating_loop(monkeypatch, case, L):
+    kw = {"schedule": StepSchedule("constant", 0.05), **WORKSPACE_CASES[case]}
+    cfg = TrainerConfig(d=3, L=L, max_iters=40, record_spectra=True, record_layers=True, **kw)
+    trace = run_with_both_loops(monkeypatch, PHI3, cfg)
+    assert len(trace.losses) == 41
+    # the snapshots are copies, not views of the loop's two buffers
+    for m in trace.final_layers:
+        assert not np.shares_memory(trace.layers, m)
+    np.testing.assert_array_equal(trace.layers[-1], np.stack(trace.final_layers))
+
+
+@pytest.mark.parametrize("algorithm, extra, eta", DIVERGING)
+def test_workspace_loop_diverges_like_allocating_loop(monkeypatch, algorithm, extra, eta):
+    # eta 1 ends on the loss, eta 1e308 on a non-finite update (or, for the
+    # power projection, a non-finite product); either way the last finite
+    # iterate survives in the buffer the failed step did not write
+    cfg = TrainerConfig(algorithm, 1, 3, StepSchedule("constant", eta), max_iters=50,
+                        record_layers=True, **extra)
+    trace = run_with_both_loops(monkeypatch, np.array([[3.0]]), cfg)
+    assert trace.status == "diverged"
+    np.testing.assert_array_equal(trace.layers[-1], np.stack(trace.final_layers))
+
+
+def test_workspace_loop_diverges_in_the_update_mid_run(monkeypatch):
+    # finite steps, then one that overflows the layers: the schedule jumps;
+    # a step that diverges in the update has its eta recorded
+    etas = (0.01,) * 7 + (1e308,)
+    for algorithm, extra in (("gd", {}), ("step_and_project", dict(gamma=1.0, psi=0.5))):
+        cfg = TrainerConfig(algorithm, 2, 3, StepSchedule("sequence", etas=etas),
+                            max_iters=20, record_layers=True, **extra)
+        trace = run_with_both_loops(monkeypatch, 10.0 * TARGET, cfg)
+        assert (trace.status, len(trace.losses), len(trace.etas)) == ("diverged", 8, 8)
+        np.testing.assert_array_equal(trace.layers[-1], np.stack(trace.final_layers))
+
+
+NON_FINITE_CONFIGS = [
+    pytest.param(dict(algorithm="step_and_project", gamma=1.0, psi=math.nan), id="psi-nan"),
+    pytest.param(dict(epsilon=math.nan), id="epsilon-nan"),
+    pytest.param(dict(schedule=StepSchedule("constant", math.inf)), id="eta-inf"),
+    pytest.param(dict(schedule=StepSchedule("constant", math.nan)), id="eta-nan"),
+    pytest.param(dict(schedule=StepSchedule("sequence", etas=(0.1, math.nan))), id="etas-nan"),
+    pytest.param(dict(schedule=StepSchedule("sequence", etas=(math.inf,))), id="etas-inf"),
+]
+
+
+@pytest.mark.parametrize("fields", NON_FINITE_CONFIGS)
+def test_non_finite_run_parameters_are_config_errors(fields):
+    cfg = TrainerConfig(**{"algorithm": "gd", "d": 2, "L": 2,
+                           "schedule": StepSchedule("constant", 0.1), **fields})
+    with pytest.raises(ConfigError):
+        cfg.validate()
+    with pytest.raises(ConfigError):
+        RUNNERS[cfg.algorithm](np.eye(2), cfg)
