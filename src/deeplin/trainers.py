@@ -28,10 +28,11 @@ values-only SVDs and the batched ``eigvals``) on a module-level thread pool
 while the loop runs on; numpy releases the GIL in those calls.  The running
 maxima, the tables and the recorded layers stay on the caller's thread, in
 chunk order, and each job makes the same LAPACK calls on the same bytes, so
-the trace is bitwise that of taking every chunk inline.  A large final
-partial chunk is shared between the pool and the caller.  The pool has
-min(_RING - 1, CPUs) threads, counting the CPUs this process may run on,
-is not created on one CPU, and once created lives for the process.
+the trace is bitwise that of taking every chunk inline.  The partial last
+chunk is taken inline, so a run that never fills a chunk starts no thread
+and its time does not hang on another thread being scheduled.  The pool
+has min(_RING - 1, CPUs) threads, counting the CPUs this process may run
+on, is not created on one CPU, and once created lives for the process.
 """
 
 from __future__ import annotations
@@ -61,9 +62,6 @@ _MAX_RECORDED_ENTRIES = matcore.MAX_HESSIAN_SIDE**2
 _CHUNK_ENTRIES = 2**15
 # Chunk buffers a recorder may hold while the pool works on full ones.
 _RING = 4
-# A final partial chunk of at least this many layer entries is shared
-# between the pool and the caller.
-_SPLIT_ENTRIES = 2**11
 _POOL = None  # created by _pool on first use
 
 @dataclass(frozen=True)
@@ -297,26 +295,23 @@ class _Recorder:
     A full chunk goes to the module's thread pool as one ``_chunk_stats``
     job, and the loop fills the next buffer of a ring of at most ``_RING``
     while the pool works; with every buffer busy it waits for the oldest
-    job.  A buffer is allocated only when the previous one fills.  What
-    depends on order stays on the caller's thread, in chunk order: the
-    recorded layers grow when a chunk is submitted, and the running maxima,
-    tables and spectra are taken up as jobs are collected.  The same calls
-    on the same bytes give the same values on any thread.  Without a pool
-    every chunk is taken inline.  ``radius`` (read every step by the
-    admissible schedule) and ``columns`` flush: they take the partial chunk
-    and collect every job.  A partial of at least ``_SPLIT_ENTRIES`` layer
-    entries sends its first half to the pool while the caller takes the
-    second.  The pool is created on the first full chunk or the first such
-    split, so a run that does neither starts no thread.  Recorded layers
-    grow in place a chunk at a time, so the snapshots are held once;
-    ``columns`` hands them to the trace without a copy.
+    job.  A buffer is allocated only when the previous one fills and the
+    pool is created only then, so a run that never fills a chunk starts no
+    thread.  What depends on order stays on the caller's thread, in chunk
+    order: the recorded layers grow when a chunk is submitted, and the
+    running maxima, tables and spectra are taken up as jobs are collected.
+    The same calls on the same bytes give the same values on any thread.
+    Without a pool every chunk is taken inline.  ``radius`` (read every
+    step by the admissible schedule) and ``columns`` take the partial chunk
+    inline and collect every job.  Recorded layers grow in place a chunk at
+    a time, so the snapshots are held once; ``columns`` hands them to the
+    trace without a copy.
     """
 
     def __init__(self, phi: np.ndarray, cfg: TrainerConfig):
         d, L = cfg.d, cfg.L
         self.size = max(1, _CHUNK_ENTRIES // (L * d * d))
         self.shape = (L, d, d)
-        self.entries = L * d * d
         self.spectra_on = cfg.record_spectra
         self.eye = eye(d)
         self.slot = self._new_slot()
@@ -377,31 +372,17 @@ class _Recorder:
         self.free.append(slot)
 
     def _flush(self):
-        """Take the partial chunk's statistics while the pool finishes, then
-        collect every job and take the partial up last.  A partial of at
-        least ``_SPLIT_ENTRIES`` layer entries is split in two: its first
-        half goes to the pool as one more job and the caller takes the
-        second; the halves are taken up in order."""
+        """Take the partial chunk's statistics inline while the pool
+        finishes, then collect every job and take the partial up last."""
         n, self.n = self.n, 0
-        cut, job = 0, None
         if n:
-            buf, _, table = self.slot
-            if n > 1 and n * self.entries >= _SPLIT_ENTRIES and (pool := _pool()):
-                cut = n // 2
-                job = pool.submit(_chunk_stats, *self._part(0, cut))
-            stats = _chunk_stats(*self._part(cut, n))
+            buf, prods, table = self.slot
+            stats = _chunk_stats(buf[:n], None if prods is None else prods[:n], self.eye)
         while self.pending:
             self._collect()
         if n:
             self._grow_layers(buf[:n])
-            if job is not None:
-                self._take_up(table[:, :cut], job.result())
-            self._take_up(table[:, cut:n], stats)
-
-    def _part(self, lo, hi):
-        """``_chunk_stats`` arguments for rows lo..hi of the current buffer."""
-        buf, prods, _ = self.slot
-        return buf[lo:hi], None if prods is None else prods[lo:hi], self.eye
+            self._take_up(table[:, :n], stats)
 
     def _grow_layers(self, chunk):
         if self.layers is not None:

@@ -559,11 +559,18 @@ def test_pooled_recorder_under_a_short_switch_interval(monkeypatch, recorder_poo
 
 
 def test_run_that_fills_no_chunk_starts_no_pool(monkeypatch, recorder_pool):
+    # a final partial chunk of any size is taken on the caller's thread, so
+    # such a run's time does not depend on a pool thread being scheduled
     recorder_pool(2)
     threads = threading.active_count()
-    cfg = TrainerConfig("gd", 2, 3, StepSchedule("constant", 0.05), max_iters=CHUNK - 2,
-                        record_spectra=True, record_layers=True)
-    run_with_both_recorders(monkeypatch, TARGET, cfg, CHUNK)
+    for algorithm in ALGORITHM_ARGS:
+        for chunk, rows in ((CHUNK, CHUNK - 1), (300, 2), (300, 171), (300, 299)):
+            cfg = TrainerConfig(
+                algorithm, 2, 3, StepSchedule("constant", 0.05), max_iters=rows - 1,
+                record_spectra=True, record_layers=True, **ALGORITHM_ARGS[algorithm],
+            )
+            trace = run_with_both_recorders(monkeypatch, TARGET, cfg, chunk)
+            assert len(trace.losses) == rows
     assert trainers._POOL is None
     assert threading.active_count() == threads
 
@@ -595,45 +602,6 @@ def test_recorded_layers_are_held_once():
     snapshots = trace.layers.nbytes
     assert snapshots == 201 * L * d * d * 8
     assert peak <= snapshots + 4 * 2**20
-
-
-def test_split_final_flush_matches_per_iterate_reference(monkeypatch, recorder_pool):
-    # d=2, L=3 is 12 layer entries an iterate, so a final partial chunk of
-    # 171 rows or more reaches the split size; rows just under and over it,
-    # one row past a full chunk, and an odd split
-    chunk = 300
-    assert 171 * 12 >= trainers._SPLIT_ENTRIES > 170 * 12
-    for size in (2, 3):
-        recorder_pool(size)
-        for algorithm in ALGORITHM_ARGS:
-            for rows in (170, 171, 172, chunk + 171, 2 * chunk + 255):
-                cfg = TrainerConfig(
-                    algorithm, 2, 3, StepSchedule("constant", 0.05), max_iters=rows - 1,
-                    record_spectra=True, record_layers=True, **ALGORITHM_ARGS[algorithm],
-                )
-                trace = run_with_both_recorders(monkeypatch, TARGET, cfg, chunk)
-                assert len(trace.losses) == rows
-        assert trainers._POOL is not None
-        trainers._POOL.shutdown()
-
-
-def test_split_final_flush_takes_the_halves_up_in_order(monkeypatch, recorder_pool):
-    # the pool's half is taken up before the caller's, whichever ends first
-    recorder_pool(2)
-    spans = []
-    stats = trainers._chunk_stats
-
-    def slow_stats(chunk, prods, eye):
-        if threading.current_thread() is not threading.main_thread():
-            threading.Event().wait(0.05)
-        spans.append(len(chunk))
-        return stats(chunk, prods, eye)
-
-    monkeypatch.setattr(trainers, "_chunk_stats", slow_stats)
-    cfg = TrainerConfig("gd", 2, 3, StepSchedule("constant", 0.05), max_iters=200,
-                        record_spectra=True, record_layers=True)
-    run_with_both_recorders(monkeypatch, TARGET, cfg, 1000)
-    assert spans == [101, 100]
 
 
 # --- the loop's workspace ----------------------------------------------------
