@@ -68,9 +68,10 @@ def project_identity_ball(a, ball: IdentityBall) -> np.ndarray:
     matrix of an (L, d, d) stack, returned in the input's shape.
 
     General mode clips the singular values of A - I at the radius.  Whether
-    a matrix clips is decided from one values-only SVD of the whole stack,
-    the same largest singular value ``op_norm`` gives, and only the matrices
-    that clip get a full SVD.  The psd mode requires symmetric input and
+    a matrix clips is decided from the largest singular value ``op_norm``
+    gives, taken in one values-only SVD of the matrices the Frobenius norm
+    does not already place inside the ball, and only the matrices that clip
+    get a full SVD.  The psd mode requires symmetric input and
     clips eigenvalues onto [max(0, 1 - radius), 1 + radius]; the result then
     commutes with the input.  Feasible matrices are returned unchanged.
     """
@@ -96,11 +97,25 @@ def project_identity_ball(a, ball: IdentityBall) -> np.ndarray:
 def _ball_kernel(stack: np.ndarray, radius: float) -> np.ndarray:
     """The general-mode ball projection of a finite (n, d, d) stack,
     unchecked: ``stack`` itself when no matrix clips, else a copy with the
-    clipping matrices replaced."""
+    clipping matrices replaced.
+
+    Since ||A - I||_2 <= ||A - I||_F, only matrices with a Frobenius norm
+    above radius (1 - 1e-10) get the values-only SVD that decides the clip.
+    The computed norm and the computed largest singular value are each
+    within a few hundred ulps of their exact values at d <= 16, far inside
+    that margin, so no matrix below it could clip; the rest go through the
+    same LAPACK call on the same bytes, and every decision is the SVD's.
+    Below radius 1e-100 the squares in the norm may underflow, so there
+    every matrix gets the SVD.
+    """
     eye_d = eye(stack.shape[-1])
     e = stack - eye_d
-    clip = singular_values(e)[:, 0] > radius
-    if not np.any(clip):
+    clip = np.linalg.norm(e, axis=(1, 2)) > radius * (1.0 - 1e-10)
+    if radius < 1e-100 or clip.all():
+        clip = singular_values(e)[:, 0] > radius
+    elif clip.any():
+        clip[clip] = singular_values(e[clip])[:, 0] > radius
+    if not clip.any():
         return stack
     out = stack.copy()
     u, s, vt = np.linalg.svd(e[clip])

@@ -9,6 +9,11 @@ non-finite ends the run as ``diverged`` with the last finite iterate kept.
 A run allocates its workspace once and a step writes only into the idle
 one of two layer buffers, making the same calls as on fresh arrays, so the
 last finite iterate needs no copy and the trace is that of fresh arrays.
+A run that reaches a fixed point of its step stops there: when the loss,
+the layers (byte for byte) and the step size all repeat those of the step
+before, and the schedule can no longer change, every input of the step map
+repeats, so every later row would too.  The loop then repeats the last
+row to the end of the budget and ends as ``budget``, as the full run would.
 The trainers differ only in the update rule and an optional settle step:
 
 * ``run_gd``: the plain gradient step.
@@ -301,11 +306,13 @@ class _Recorder:
     order: the recorded layers grow when a chunk is submitted, and the
     running maxima, tables and spectra are taken up as jobs are collected.
     The same calls on the same bytes give the same values on any thread.
-    Without a pool every chunk is taken inline.  ``radius`` (read every
-    step by the admissible schedule) and ``columns`` take the partial chunk
-    inline and collect every job.  Recorded layers grow in place a chunk at
-    a time, so the snapshots are held once; ``columns`` hands them to the
-    trace without a copy.
+    Without a pool every chunk is taken inline.  ``columns`` and
+    ``repeat`` take the partial chunk inline and collect every job.
+    ``radius``, read every step by the admissible schedule, flushes only on
+    its first read; later reads take the deviation SVD of the rows added
+    since and leave full chunks to the pool.  Recorded layers grow in place
+    a chunk at a time, so the snapshots are held once; ``columns`` hands
+    them to the trace without a copy.
     """
 
     def __init__(self, phi: np.ndarray, cfg: TrainerConfig):
@@ -322,6 +329,8 @@ class _Recorder:
         self.spectra: list = []
         self.layers = np.empty((0, L, d, d)) if cfg.record_layers else None
         self.carry = (0.0, op_norm(phi) ** (1.0 / L))
+        self.peak = None  # the running radius, once ``radius`` was read
+        self.seen = 0  # rows of the current chunk folded into ``peak``
 
     def _new_slot(self):
         """A chunk buffer: layers, loss products (with spectra) and the
@@ -343,12 +352,42 @@ class _Recorder:
 
     @property
     def radius(self) -> float:
-        """The running radius R_t up to the last added iterate."""
+        """The running radius R_t up to the last added iterate.  The first
+        read flushes; later reads fold in only the deviation SVD of the rows
+        added since.  A max is exact, so the value is the flush's."""
+        if self.peak is None:
+            self._flush()
+            self.peak = float(self.carry[0])
+        else:
+            self._peek(self.n)
+        return self.peak
+
+    def _peek(self, n):
+        """Fold the largest deviation from I of rows ``seen..n`` of the
+        current chunk into ``peak``."""
+        if n > self.seen:
+            try:
+                dev = np.linalg.svd(self.slot[0][self.seen:n] - self.eye, compute_uv=False)
+            except np.linalg.LinAlgError as exc:
+                raise NumericError(f"recorder statistics failed: {exc}") from exc
+            self.peak = max(self.peak, float(dev.max()))
+            self.seen = n
+
+    def repeat(self, k):
+        """Append k copies of the last row, spectrum and recorded layers:
+        the rows that ``add`` of the last iterate k more times would give."""
         self._flush()
-        return float(self.carry[0])
+        self.tables.append(np.repeat(self.tables[-1][:, -1:], k, axis=1))
+        if self.spectra:
+            self.spectra.append(np.repeat(self.spectra[-1][-1:], k, axis=0))
+        if self.layers is not None:
+            last = self.layers[-1].copy()  # growing the snapshots moves them
+            self._grow_layers(np.broadcast_to(last, (k, *self.shape)))
 
     def _submit(self):
         """Hand the full chunk to the pool and move to a free buffer."""
+        if self.peak is not None:
+            self._peek(self.size)
         pool = _pool()
         if pool is None:
             self._flush()
@@ -356,7 +395,7 @@ class _Recorder:
         buf, prods, _ = slot = self.slot
         self._grow_layers(buf)
         self.pending.append((pool.submit(_chunk_stats, buf, prods, self.eye), slot))
-        self.n = 0
+        self.n = self.seen = 0
         if not self.free:
             # every buffer made so far holds a pending chunk
             if len(self.pending) < _RING:
@@ -374,7 +413,7 @@ class _Recorder:
     def _flush(self):
         """Take the partial chunk's statistics inline while the pool
         finishes, then collect every job and take the partial up last."""
-        n, self.n = self.n, 0
+        n, self.n, self.seen = self.n, 0, 0
         if n:
             buf, prods, table = self.slot
             stats = _chunk_stats(buf[:n], None if prods is None else prods[:n], self.eye)
@@ -452,7 +491,21 @@ def _train(
     A step writes only into the idle buffer, so the last finite iterate is
     kept by reference when the next step diverges.  The recorder copies
     each iterate into its chunk buffer and takes the statistics a chunk at
-    a time, flushing early only when the schedule reads the radius.
+    a time.
+
+    Before the update writes the idle buffer, that buffer still holds the
+    previous iterate.  On a step whose loss equals the previous row's, the
+    two buffers are compared byte for byte (as int64, so -0.0 differs
+    from 0.0).  If they match, the step size equals the last one, and
+    the schedule no longer reads t (``constant``, ``admissible``,
+    ``default``, or ``sequence`` at or past its last entry), then the step
+    map gets the same inputs as on the step before: the same bytes through
+    the same calls, with the admissible bound reading a running radius and
+    a loss that repeat too.  So every later iterate, row, step size,
+    spectrum and snapshot equals the current one, and the loop appends the
+    step size and ``rec.repeat`` the row up to ``max_iters``.  A loss taken
+    from a settled product (power projection) can first repeat a step after
+    the layers do, which only delays the exit.
     """
     step_size = _step_size(phi, cfg)
     rec = _Recorder(phi, cfg)
@@ -466,9 +519,13 @@ def _train(
     suf_t, pre_t = suf[1:].transpose(0, 2, 1), pre[:-1].transpose(0, 2, 1)
     s_r, grads = np.empty((2, L, d, d))
     residual = np.empty((d, d))
+    ints = bufs.view(np.int64)
+    # the first t from which the schedule no longer reads t
+    steady = len(cfg.schedule.etas) - 1 if cfg.schedule.mode == "sequence" else 0
     etas: list = []
     loss_half = None
     last = None
+    prev = math.nan
     status = "budget"
     cur = 0  # the buffer holding the iterate; the other is idle
     for t in range(cfg.max_iters + 1):
@@ -492,6 +549,16 @@ def _train(
         if t == cfg.max_iters:
             break
         eta = step_size(t, rec, loss_val)
+        # the idle buffer still holds iterate t - 1: the same iterate taking
+        # the same step is a fixed point, and every later row repeats this one
+        if (
+            loss_val == prev and t >= steady and eta == etas[-1]
+            and np.array_equal(ints[0], ints[1])
+        ):
+            etas.extend([eta] * (cfg.max_iters - t))
+            rec.repeat(cfg.max_iters - t)
+            break
+        prev = loss_val
         etas.append(eta)
         np.matmul(suf_t, residual, out=s_r)
         np.matmul(s_r, pre_t, out=grads)

@@ -16,3 +16,16 @@ def recorder_pool(monkeypatch):
     yield force
     if trainers._POOL is not None:
         trainers._POOL.shutdown()
+
+
+@pytest.fixture
+def exits(monkeypatch):
+    """The k of every ``_Recorder.repeat(k)`` call, in order."""
+    seen, repeat = [], trainers._Recorder.repeat
+
+    def spy(self, k):
+        seen.append(k)
+        return repeat(self, k)
+
+    monkeypatch.setattr(trainers._Recorder, "repeat", spy)
+    return seen

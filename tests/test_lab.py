@@ -492,6 +492,55 @@ def test_sweep_forks_workers_after_the_recorder_pool_started(tmp_path, recorder_
     assert serial == parallel
 
 
+def stalling_configs(directory, output_dir):
+    """Criterion 9's shapes on diag(-0.8, 1, 1): each run reaches an iterate
+    its step maps to itself and stops there."""
+    target = {"kind": "neg_eig_diag", "d": 3, "lam": 0.8}
+    shapes = {
+        "ball": {"algorithm": "step_and_project", "L": 3, "gamma": 1.0, "psi": 0.9},
+        "penalty": {"algorithm": "penalty_gd", "L": 4, "kappa": 0.1},
+    }
+    for name, trainer in shapes.items():
+        for eta in (0.1, 0.2):
+            sid = f"{name}-{eta}"
+            data = demo_config(
+                scenario_id=sid, target=target, checks=["commuting_normal", "trace_recurrence"],
+                trainer={**trainer, "d": 3, "max_iters": 300, "record_spectra": True,
+                         "record_layers": True, "schedule": {"mode": "constant", "eta": eta}},
+            )
+            data["output_dir"] = str(output_dir)
+            (directory / f"{sid}.json").write_text(json.dumps(data))
+
+
+def test_sweep_of_stalling_runs_writes_the_serial_artifacts(
+    tmp_path, monkeypatch, recorder_pool, exits
+):
+    # one-row chunks on a pool of 2, so the forked workers start their own
+    # pools and the repeated tails follow pooled chunks
+    recorder_pool(2)
+    monkeypatch.setattr(trainers, "_CHUNK_ENTRIES", 1)
+    outs = {}
+    for workers in (1, 2):
+        configs, outs[workers] = tmp_path / f"configs{workers}", tmp_path / f"out{workers}"
+        configs.mkdir()
+        stalling_configs(configs, outs[workers])
+        faulthandler.dump_traceback_later(120, exit=True)
+        try:
+            reports = sweep(configs, workers=workers)
+        finally:
+            faulthandler.cancel_dump_traceback_later()
+        assert [r.status for r in reports] == ["floor-confirmed"] * 4
+    assert len(exits) == 4  # the serial sweep's runs, in this process
+    names = sorted(p.name for p in outs[1].iterdir())
+    assert names == sorted(p.name for p in outs[2].iterdir()) and len(names) == 12
+    for name in names:
+        serial, parallel = (outs[w].joinpath(name).read_bytes() for w in (1, 2))
+        if name.endswith("_report.json"):
+            serial, parallel = (json.loads(b) for b in (serial, parallel))
+            assert serial.pop("wall_clock") > 0.0 and parallel.pop("wall_clock") > 0.0
+        assert serial == parallel, name
+
+
 @pytest.mark.parametrize("pool_size", [0, 2])
 def test_recorder_linalg_failure_is_an_error_report(monkeypatch, recorder_pool, pool_size):
     # raised inline without a pool, and on a pool thread, re-raised when the

@@ -325,3 +325,42 @@ def test_ball_kernel_on_a_batch_matches_public_calls(d, L, radius):
     assert _ball_kernel(batch, radius) is not batch
     assert batch.tobytes() == before.tobytes()
 
+
+
+def svd_ball_kernel(stack, radius):
+    """The ball kernel that decides every clip from the values-only SVD,
+    kept as the oracle of the Frobenius-norm shortcut."""
+    e = stack - np.eye(stack.shape[-1])
+    clip = np.linalg.svd(e, compute_uv=False)[:, 0] > radius
+    if not np.any(clip):
+        return stack
+    out = stack.copy()
+    u, s, vt = np.linalg.svd(e[clip])
+    out[clip] = np.eye(stack.shape[-1]) + u @ (np.minimum(s, radius)[:, :, None] * vt)
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 3, 16])
+@pytest.mark.parametrize("radius", [0.0, 1e-300, 1e-20, 0.3, 0.9, 7.0])
+def test_ball_kernel_norm_shortcut_matches_the_svd_decision(d, radius):
+    # a rank-one deviation has ||E||_F = ||E||_2, so one at the radius,
+    # 1e-15 inside or outside it, sits where only the SVD can decide;
+    # full-rank ones well inside or outside are settled by either test
+    rng = np.random.default_rng(d)
+    mats = []
+    for _ in range(4):
+        u, v = rng.standard_normal((2, d))
+        unit = np.outer(u, v) / (np.linalg.norm(u) * np.linalg.norm(v))
+        for scale in (1.0 - 1e-15, 1.0, 1.0 + 1e-15, 1.0 - 1e-10, 0.5, 2.0):
+            mats.append(np.eye(d) + scale * radius * unit)
+        full = rng.standard_normal((d, d))
+        for scale in (0.3, 0.999, 1.5):
+            mats.append(np.eye(d) + scale * radius * full / np.linalg.norm(full, 2))
+    mats.append(np.eye(d) + 1e-170 * rng.standard_normal((d, d)))  # squares underflow
+    stack = np.stack(mats)
+    out, ref = _ball_kernel(stack, radius), svd_ball_kernel(stack, radius)
+    assert out.tobytes() == ref.tobytes()
+    for m in stack:
+        one = m[None].copy()
+        assert (_ball_kernel(one, radius) is one) == (svd_ball_kernel(one, radius) is one)
+        assert _ball_kernel(one, radius).tobytes() == svd_ball_kernel(one, radius).tobytes()

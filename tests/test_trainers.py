@@ -400,7 +400,8 @@ def test_spectra_recording():
 class PerIterateRecorder:
     """The recorder before chunking, kept as the oracle of the chunked one:
     two values-only SVD calls per iterate, one ``eigvals`` call with
-    spectra, and the running maxima as Python floats."""
+    spectra, and the running maxima as Python floats.  ``repeat(k)`` adds
+    the last iterate k more times, recomputing every statistic."""
 
     def __init__(self, phi, cfg):
         self.cfg = cfg
@@ -425,6 +426,11 @@ class PerIterateRecorder:
             self.spectra.append(np.sort_complex(np.linalg.eigvals(prod)))
         if self.cfg.record_layers:
             self.layers.append(layers.copy())
+        self.last = (layers.copy(), None if prod is None else prod.copy(), loss_val, loss_half)
+
+    def repeat(self, k):
+        for _ in range(k):
+            self.add(*self.last)
 
     def columns(self):
         stats = np.array(self.rows, dtype=float).reshape(-1, 6).T.copy()
@@ -534,13 +540,23 @@ def test_pooled_recorder_stops_mid_chunk(monkeypatch, recorder_pool):
 
 @pytest.mark.parametrize("chunk", [1, CHUNK])
 def test_pooled_recorder_radius_feeds_admissible_steps(monkeypatch, recorder_pool, chunk):
-    # one-row chunks go to the pool and the next radius read collects them;
-    # longer ones never fill, as every radius read flushes the one row
+    # full chunks of any length go to the pool while each radius read folds
+    # in only the rows added since the last one
     recorder_pool(2)
     cfg = TrainerConfig("gd", 2, 3, StepSchedule("admissible"), max_iters=3 * CHUNK + 2,
                         record_spectra=True, record_layers=True)
     run_with_both_recorders(monkeypatch, TARGET / 2, cfg, chunk)
-    assert (trainers._POOL is not None) == (chunk == 1)
+    assert trainers._POOL is not None
+
+
+def test_inline_recorder_radius_feeds_admissible_steps(monkeypatch, recorder_pool):
+    # without a pool each full chunk is flushed inline; the radius reads
+    # between flushes still fold in only the rows added since
+    recorder_pool(0)
+    cfg = TrainerConfig("gd", 2, 3, StepSchedule("admissible"), max_iters=3 * CHUNK + 2,
+                        record_spectra=True, record_layers=True)
+    run_with_both_recorders(monkeypatch, TARGET / 2, cfg, CHUNK)
+    assert trainers._POOL is None
 
 
 def test_pooled_recorder_under_a_short_switch_interval(monkeypatch, recorder_pool):
@@ -754,3 +770,81 @@ def test_non_finite_run_parameters_are_config_errors(fields):
         cfg.validate()
     with pytest.raises(ConfigError):
         RUNNERS[cfg.algorithm](np.eye(2), cfg)
+
+
+# --- the fixed-point exit ----------------------------------------------------
+
+NEG_EIG = np.diag([-0.8, 1.0, 1.0])
+# runs that reach an iterate their step maps to itself bit for bit
+STALL_CASES = {
+    "ball-criterion-9": (NEG_EIG, dict(
+        algorithm="step_and_project", d=3, L=3, gamma=1.0, psi=0.9,
+        schedule=StepSchedule("constant", 0.2), max_iters=80)),
+    "gd-spd": (np.diag([0.5, 2.0]), dict(
+        algorithm="gd", d=2, L=2, schedule=StepSchedule("constant", 0.1), max_iters=400)),
+    "penalty-kappa-one-eta-zero": (np.diag([0.5, 2.0]), dict(
+        algorithm="penalty_gd", d=2, L=2, kappa=1.0,
+        schedule=StepSchedule("constant", 0.0), max_iters=10)),
+    "gd-admissible": (np.array([[1.1]]), dict(
+        algorithm="gd", d=1, L=2, schedule=StepSchedule("admissible"), max_iters=120)),
+    "gd-default": (np.array([[1.1]]), dict(
+        algorithm="gd", d=1, L=2, schedule=StepSchedule("default"), max_iters=120)),
+    "power_projection": (np.diag([0.8, 1.5]), dict(
+        algorithm="power_projection", d=2, L=2, gamma=0.5,
+        schedule=StepSchedule("constant", 0.1), max_iters=250)),
+}
+
+
+def run_stall_case(request, monkeypatch, exits, phi, cfg, pooled):
+    """The run against the loop that never exits early, and against the
+    per-iterate recorder; pooled, with 3-row chunks on a 2-thread pool.
+    Returns the exit's t."""
+    chunk = 3 if pooled else cfg.max_iters + 1
+    if pooled:
+        request.getfixturevalue("recorder_pool")(2)
+    monkeypatch.setattr(trainers, "_CHUNK_ENTRIES", chunk * cfg.L * cfg.d**2)
+    trace = run_with_both_loops(monkeypatch, phi, cfg)
+    assert len(exits) == 1, "the run should stop at its fixed point"
+    run_with_both_recorders(monkeypatch, phi, cfg, chunk)
+    k = exits[0]
+    assert trace.status == "budget" and len(trace.losses) == cfg.max_iters + 1
+    assert len(trace.etas) == cfg.max_iters
+    np.testing.assert_array_equal(trace.layers[-1], np.stack(trace.final_layers))
+    # the repeated rows really are copies of the exit's row
+    assert np.unique(trace.losses[-k - 1:]).size == 1
+    if pooled:
+        assert trainers._POOL is not None
+    return cfg.max_iters - k
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["inline", "pooled"])
+@pytest.mark.parametrize("case", STALL_CASES)
+def test_fixed_point_exit_matches_the_full_run(request, monkeypatch, exits, case, pooled):
+    phi, kw = STALL_CASES[case]
+    cfg = TrainerConfig(record_spectra=True, record_layers=True, **kw)
+    run_stall_case(request, monkeypatch, exits, phi, cfg, pooled)
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["inline", "pooled"])
+def test_fixed_point_exit_on_the_last_step(request, monkeypatch, exits, pooled):
+    phi, kw = STALL_CASES["ball-criterion-9"]
+    cfg = TrainerConfig(record_spectra=True, record_layers=True, **kw)
+    RUNNERS[cfg.algorithm](phi, cfg)
+    t = cfg.max_iters - exits.pop()
+    last = dataclasses.replace(cfg, max_iters=t + 1)
+    assert run_stall_case(request, monkeypatch, exits, phi, last, pooled) == t
+    assert exits == [1, 1]
+
+
+def test_fixed_point_exit_waits_for_the_schedule(monkeypatch, exits):
+    # with kappa = 1 and eta = 0 every iterate is I.  A sequence that is
+    # still to change must not exit, nor may the step onto its last entry
+    # while it differs from the step before.
+    for etas in ((0.0,) * 5 + (0.05,), (0.0, 0.05)):
+        cfg = TrainerConfig("penalty_gd", 2, 2, StepSchedule("sequence", etas=etas),
+                            kappa=1.0, max_iters=12, record_spectra=True, record_layers=True)
+        trace = run_with_both_loops(monkeypatch, np.diag([0.5, 2.0]), cfg)
+        steady = len(etas) - 1
+        assert trace.losses[steady + 1] != trace.losses[steady]
+        assert all(cfg.max_iters - k > steady for k in exits)
+        exits.clear()
