@@ -18,15 +18,25 @@ The loss is ``0.5 * ||product - target||_F^2``, ``residual_loss`` of the
 residual.  Derivative formulas below are exact for this convention; the
 second-derivative matrix flattens the layers layer-major and column-major
 inside each layer.  Each of its blocks is a sum of two Kronecker-structured
-terms, so ``hessian_frob_norm`` gets its Frobenius norm from d x d products
-through ||A (x) B||_F = ||A||_F ||B||_F, without forming the matrix.
+terms, and <A (x) B, C (x) D>_F = <A, C>_F <B, D>_F.  So with A_i = S[i]
+S[i]^T, B_i = P[i-1]^T P[i-1], C_j = R^T A_j R for the residual R, M_ij
+the product of layers i+1..j-1 and W_ij = P[j-1] B_i R^T A_j S[i],
+``hessian_frob_norm`` gets
+
+    ||H||_F^2 = sum_{i,j} <A_i, A_j> <B_i, B_j>
+                + 2 sum_{i<j} (||M_ij||^2 <B_i, C_j> + 2 <M_ij, W_ij>)
+
+without forming the matrix.  The first sum is over all i and j: its
+summand is symmetric, so the weight 2 of the pairs off the diagonal comes
+free from two L x L Gram matrices.  Only the second sum is taken pair by
+pair.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -175,6 +185,9 @@ def full_hessian(net: DeepLinearNet, phi) -> np.ndarray:
     chunks, and no chunk intermediate has more than max(_BUDGET, d^4)
     entries.  The lower off-diagonal blocks are transposes of their upper
     counterparts.  The output itself is capped by MAX_HESSIAN_SIDE.
+    ``hessian_frob_norm`` needs the same M, forms them by doubling instead
+    of this recurrence, and takes the rest of ||H||_F from L x L Gram
+    matrices.
     """
     d, L = net.d, net.L
     n = L * d * d
@@ -215,9 +228,56 @@ def full_hessian(net: DeepLinearNet, phi) -> np.ndarray:
     return h
 
 
-def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Frobenius inner product of each pair of matrices of two stacks."""
-    return np.einsum("kab,kab->k", a, b)
+def _runs(starts, sizes) -> np.ndarray:
+    """The read-only runs start, start + 1, ..., start + size - 1 of each
+    (start, size), concatenated."""
+    out = np.concatenate([np.arange(a, a + n) for a, n in zip(starts, sizes)])
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=64)
+def _pair_plan(L: int, chunk: int) -> tuple:
+    """Read-only index arrays for the block pairs i < j of an L-layer net,
+    which ``hessian_frob_norm`` takes diagonal by diagonal, ``chunk``
+    diagonals k = j - i at a time.
+
+    A chunk is ``(i, j, ij, steps)``: per row, i - 1, j - 1 and the flat
+    index (i - 1) L + j - 1, then how to form the M of the rows.  Every M
+    is a product of two on lower diagonals,
+
+        M_ij = M_{j-h-1, j} M_{i, j-h}    for 0 < h < j - i - 1.
+
+    The first chunk holds the identity on diagonal 1 and layer i + 1 on
+    diagonal 2.  For h = 1, 2, 4, ..., ``(lo, hi, left, right)`` in its
+    ``steps`` forms its rows lo:hi, diagonals h + 1 < k <= 2h + 1, from the
+    rows ``left`` and ``right`` of the chunk itself.  A later chunk takes
+    h = ``chunk``: its ``steps`` is ``(left, right)``, rows of diagonal
+    ``chunk`` + 1 and of the chunk before.  A plan holds O(L^2) indices;
+    the 64 most recent are kept.
+    """
+    chunks = []
+    for k0 in range(1, L, chunk):
+        ks = np.arange(k0, min(k0 + chunk, L))
+        sizes = L - ks
+        start = np.concatenate([[0], np.cumsum(sizes)])  # first row of each diagonal
+        i = _runs(np.zeros_like(ks), sizes)
+        j = _runs(ks, sizes)
+        if k0 == 1:
+            steps, h = [], 1
+            while h + 2 <= chunk:
+                new = ks[h + 1 : 2 * h + 1]
+                left = _runs(start[h] + new - h - 1, sizes[new - 1])
+                right = _runs(start[new - h - 1], sizes[new - 1])
+                steps.append((start[h + 1], start[new[-1]], left, right))
+                h *= 2
+        else:
+            steps = (_runs(ks - chunk - 1, sizes), _runs(prev[ks - k0], sizes))
+        prev = start
+        ij = i * L + j
+        ij.flags.writeable = False
+        chunks.append((i, j, ij, tuple(steps)))
+    return tuple(chunks)
 
 
 def hessian_frob_norm(net: DeepLinearNet, phi) -> float:
@@ -225,49 +285,51 @@ def hessian_frob_norm(net: DeepLinearNet, phi) -> float:
 
     In the notation of ``full_hessian``, block (i, j) for i <= j is an index
     permutation of X (x) Y plus, for i < j, of M (x) Q, with X = S[i]^T S[j]
-    and Y = P[j-1] P[i-1]^T.  As ||A (x) B||_F = ||A||_F ||B||_F,
+    and Y = P[j-1] P[i-1]^T.  Let A_i = S[i] S[i]^T, B_i = P[i-1]^T P[i-1],
+    C_j = R^T A_j R and W_ij = P[j-1] B_i R^T A_j S[i].  By <A (x) B, C (x)
+    D>_F = <A, C>_F <B, D>_F, ||X (x) Y||^2 = <A_i, A_j> <B_i, B_j>,
+    ||M (x) Q||^2 = ||M||^2 <B_i, C_j> and the cross term is 2 <M, W_ij>.
+    The lower blocks are transposes of the upper ones, so
 
-        ||H_ij||_F^2 = ||X||^2 ||Y||^2
-                       + [i < j] (||M||^2 ||Q||^2 + 2 <X Q, M^T Y>_F),
+        ||H||_F^2 = sum_{i,j} <A_i, A_j> <B_i, B_j>
+                    + 2 sum_{i<j} (||M_ij||^2 <B_i, C_j> + 2 <M_ij, W_ij>).
 
-    and ||H||_F^2 = sum_i ||H_ii||^2 + 2 sum_{i<j} ||H_ij||^2, since the lower
-    blocks are transposes of the upper ones.  The blocks (i, i + m) are
-    taken diagonal by diagonal, M from the recurrence of ``full_hessian``,
-    in chunks of max(1, _BUDGET // (L d^2)) diagonals with a few batched
-    matmuls each.  The work is O(L^2 d^3), and no intermediate has more
-    than max(_BUDGET, L d^2) entries, so no size cap applies.
+    The first sum runs over the full square, where the symmetric summand
+    counts each pair i != j twice, so the weight 2 off the diagonal comes
+    free: it is the entry sum of the elementwise product of two L x L Gram
+    matrices.  <B_i, C_j> is one L x L product.  Only the second sum is
+    taken pair by pair, diagonal j - i by diagonal in chunks of max(1,
+    _BUDGET // (L d^2)) diagonals: the M by doubling (``_pair_plan``), the
+    cross term by three batched matmuls.  The work is O(L^2 d^3), and no
+    intermediate has more than max(_BUDGET, L d^2) entries, so no size cap
+    applies.
     """
     d, L = net.d, net.L
     phi = _target(net, phi)
 
     pre, suf = net.products
-    pre_t = pre.transpose(0, 2, 1)
-    suf_t = suf.transpose(0, 2, 1)
-    sr = suf_t @ (pre[L] - phi)
-    step = max(1, _BUDGET // (L * d * d))
-    total = 0.0
-    for m0 in range(0, L, step):
-        diags = range(m0, min(m0 + step, L))
-        mids = []
-        for k in diags:
-            if k == 0:  # the diagonal blocks have no second term
-                mid = np.zeros((L, d, d))
-            elif k == 1:
-                mid = np.broadcast_to(np.eye(d), (L - 1, d, d))
-            else:
-                mid = net.layers[k - 1 : L - 1] @ mid[: L - k]
-            mids.append(mid)
-        mid_c = np.concatenate(mids)
-        m = np.repeat(diags, [L - k for k in diags])
-        i = np.concatenate([np.arange(1, L - k + 1) for k in diags])
-        j = i + m
-        x = suf_t[i] @ suf[j]
-        y = pre[j - 1] @ pre_t[i - 1]
-        q = sr[j] @ pre_t[i - 1]
-        block_sq = (
-            _inner(x, x) * _inner(y, y)
-            + _inner(mid_c, mid_c) * _inner(q, q)
-            + 2.0 * _inner(x @ q, mid_c.transpose(0, 2, 1) @ y)
-        )
-        total += float(np.where(m > 0, 2.0, 1.0) @ block_sq)
+    r = pre[L] - phi
+    p, s = pre[:-1], suf[1:]  # P[i-1] and S[i], layer i at row i - 1
+    a = s @ s.transpose(0, 2, 1)
+    b = p.transpose(0, 2, 1) @ p
+    af, bf = a.reshape(L, -1), b.reshape(L, -1)
+    total = float(((af @ af.T) * (bf @ bf.T)).sum())
+    bc = (bf @ (r.T @ a @ r).reshape(L, -1).T).ravel()
+    f = b @ r.T
+    chunk = max(1, min(L - 1, _BUDGET // (L * d * d)))
+    for n, (i, j, ij, steps) in enumerate(_pair_plan(L, chunk)):
+        if n == 0:
+            mid = np.empty((len(i), d, d))
+            mid[: L - 1] = np.eye(d)
+            if chunk > 1:
+                mid[L - 1 : 2 * L - 3] = net.layers[1 : L - 1]
+            for lo, hi, left, right in steps:
+                np.matmul(mid.take(left, 0), mid.take(right, 0), out=mid[lo:hi])
+            # diagonal chunk + 1, from diagonal chunk
+            jump = net.layers[chunk : L - 1] @ mid[len(i) - L + chunk : len(i) - 1]
+        else:
+            mid = jump.take(steps[0], 0) @ mid.take(steps[1], 0)
+        w = p.take(j, 0) @ f.take(i, 0) @ a.take(j, 0) @ s.take(i, 0)
+        mid_sq = np.einsum("kab,kab->k", mid, mid)
+        total += 2.0 * (float(mid_sq @ bc.take(ij)) + 2.0 * float(np.vdot(mid, w)))
     return math.sqrt(total)

@@ -13,9 +13,16 @@ The finite-difference checks evaluate the loss directly from flattened
 parameters and never touch the analytic derivative code, so they are an
 independent oracle for it.  Only ``fd_hessian_check`` assembles the
 second-derivative matrix H and is capped by MAX_HESSIAN_SIDE.  The
-curvature bound reads ||H||_F from d x d pieces: each block of H is
-X (x) Y + [i < j] M (x) Q up to an index permutation, so
-||H_ij||_F^2 = ||X||^2 ||Y||^2 + [i < j] (||M||^2 ||Q||^2 + 2 <X Q, M^T Y>_F).
+curvature bound reads ||H||_F from d x d pieces (``network`` has the
+notation): each block of H is X (x) Y + [i < j] M (x) Q up to an index
+permutation, and <A (x) B, C (x) D>_F = <A, C>_F <B, D>_F turns all but
+one term of ||H||_F^2 into L x L Gram matrices,
+
+    ||H||_F^2 = sum_{i,j} <A_i, A_j> <B_i, B_j>
+                + 2 sum_{i<j} (||M_ij||^2 <B_i, C_j> + 2 <M_ij, W_ij>).
+
+The first sum runs over all i and j with a symmetric summand, so it counts
+each block off the diagonal twice by itself.
 
 Note on conventions: the loss is 0.5 ||product - target||_F^2 throughout
 the package.  The classical gradient lower bound and the induced loss
@@ -232,13 +239,15 @@ def check_hessian_upper_bound(net: DeepLinearNet, phi) -> CheckReport:
     bound passes the float range.
 
     The left side comes from ``hessian_frob_norm`` without forming the
-    matrix: with X = S[i]^T S[j], Y = P[j-1] P[i-1]^T, M the product of
-    layers i+1..j-1 and Q = S[j]^T R P[i-1]^T,
+    matrix: with A_i = S[i] S[i]^T, B_i = P[i-1]^T P[i-1], C_j = R^T A_j R,
+    M_ij the product of layers i+1..j-1 and W_ij = P[j-1] B_i R^T A_j S[i],
 
-        ||H_ij||_F^2 = ||X||^2 ||Y||^2
-                       + [i < j] (||M||^2 ||Q||^2 + 2 <X Q, M^T Y>_F),
+        ||H||_F^2 = sum_{i,j} <A_i, A_j> <B_i, B_j>
+                    + 2 sum_{i<j} (||M_ij||^2 <B_i, C_j> + 2 <M_ij, W_ij>),
 
-    summed with weight 2 off the diagonal, so no network is too wide."""
+    where the first sum, symmetric over the full square, counts each block
+    off the diagonal twice, as the transposed lower blocks require.  Its
+    memory stays bounded, so no network is too wide."""
     phi = np.asarray(phi, dtype=float)
     z = max(0.0, float(net.singular_values[:, 0].max()) - 1.0)
     if op_norm(phi) > _power(1.0 + z, net.L):

@@ -7,14 +7,17 @@ from deeplin import trainers
 def recorder_pool(monkeypatch):
     """``recorder_pool(size)`` gives the recorder a pool of ``size`` threads
     (none for 0) whatever the host's CPU count, starting from no pool.  The
-    pool the test creates is shut down after it."""
+    pool the test creates after that call is shut down after it; a test
+    that never calls it leaves the process-wide pool running."""
+    forced = []
 
     def force(size):
         monkeypatch.setattr(trainers, "_pool_size", lambda: size)
         monkeypatch.setattr(trainers, "_POOL", None)
+        forced.append(size)
 
     yield force
-    if trainers._POOL is not None:
+    if forced and trainers._POOL is not None:
         trainers._POOL.shutdown()
 
 

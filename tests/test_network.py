@@ -374,6 +374,63 @@ def test_hessian_directional_second_difference_deep():
         assert v @ h @ v == pytest.approx(fd, rel=1e-5, abs=1e-6)
 
 
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Frobenius inner product of each pair of matrices of two stacks."""
+    return np.einsum("kab,kab->k", a, b)
+
+
+def _pairwise_frob_norm(net, phi):
+    """||full_hessian(net, phi)||_F block pair by block pair.
+
+    With X = S[i]^T S[j], Y = P[j-1] P[i-1]^T, M the product of layers
+    i+1..j-1 and Q = S[j]^T R P[i-1]^T, block (i, j) for i <= j is an index
+    permutation of X (x) Y plus, for i < j, of M (x) Q.  As ||A (x) B||_F =
+    ||A||_F ||B||_F,
+
+        ||H_ij||_F^2 = ||X||^2 ||Y||^2
+                       + [i < j] (||M||^2 ||Q||^2 + 2 <X Q, M^T Y>_F),
+
+    and ||H||_F^2 = sum_i ||H_ii||^2 + 2 sum_{i<j} ||H_ij||^2, since the lower
+    blocks are transposes of the upper ones.  The blocks (i, i + m) are
+    taken diagonal by diagonal, M from the recurrence of ``full_hessian``,
+    in chunks of max(1, 2**15 // (L d^2)) diagonals.
+    """
+    d, L = net.d, net.L
+    phi = np.asarray(phi, dtype=float)
+
+    pre, suf = net.products
+    pre_t = pre.transpose(0, 2, 1)
+    suf_t = suf.transpose(0, 2, 1)
+    sr = suf_t @ (pre[L] - phi)
+    step = max(1, 2**15 // (L * d * d))
+    total = 0.0
+    for m0 in range(0, L, step):
+        diags = range(m0, min(m0 + step, L))
+        mids = []
+        for k in diags:
+            if k == 0:  # the diagonal blocks have no second term
+                mid = np.zeros((L, d, d))
+            elif k == 1:
+                mid = np.broadcast_to(np.eye(d), (L - 1, d, d))
+            else:
+                mid = net.layers[k - 1 : L - 1] @ mid[: L - k]
+            mids.append(mid)
+        mid_c = np.concatenate(mids)
+        m = np.repeat(diags, [L - k for k in diags])
+        i = np.concatenate([np.arange(1, L - k + 1) for k in diags])
+        j = i + m
+        x = suf_t[i] @ suf[j]
+        y = pre[j - 1] @ pre_t[i - 1]
+        q = sr[j] @ pre_t[i - 1]
+        block_sq = (
+            _inner(x, x) * _inner(y, y)
+            + _inner(mid_c, mid_c) * _inner(q, q)
+            + 2.0 * _inner(x @ q, mid_c.transpose(0, 2, 1) @ y)
+        )
+        total += float(np.where(m > 0, 2.0, 1.0) @ block_sq)
+    return math.sqrt(total)
+
+
 def _assembled_frob_norm(net, phi):
     """||full_hessian(net, phi)||_F with numpy's pairwise sum, a block row at
     a time.  np.linalg.norm sums all (L d^2)^2 squares in one dot product,
@@ -397,4 +454,22 @@ def test_hessian_frob_norm_matches_assembled(d, L):
             phi = scale * rng.standard_normal((d, d))
             assert hessian_frob_norm(net, phi) == pytest.approx(
                 _assembled_frob_norm(net, phi), rel=1e-13, abs=0.0
+            )
+
+
+# the shapes above, then shapes of several chunks (d = 16, L = 64 takes two
+# diagonals at a time) and a single layer
+@pytest.mark.parametrize("d, L", [
+    (4, 16), (2, 64), (2, 16), (3, 32), (3, 8), (4, 4), (5, 12), (5, 3), (6, 8),
+    (6, 2), (7, 6), (7, 2), (8, 16), (8, 4), (1, 1), (1, 2), (16, 16),
+    (9, 64), (12, 48), (16, 64), (5, 1),
+])
+def test_hessian_frob_norm_matches_pairwise(d, L):
+    rng = np.random.default_rng([18, d, L])
+    for spread in (0.0, 0.3, 3.0):
+        net = DeepLinearNet(np.eye(d) + spread * rng.standard_normal((L, d, d)) / np.sqrt(L * d))
+        for scale in (0.01, 1.0, 1000.0):
+            phi = scale * rng.standard_normal((d, d))
+            assert hessian_frob_norm(net, phi) == pytest.approx(
+                _pairwise_frob_norm(net, phi), rel=1e-13, abs=0.0
             )

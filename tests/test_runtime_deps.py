@@ -1,4 +1,5 @@
-"""The runtime needs numpy only: scipy is a test-time oracle."""
+"""The runtime needs numpy only: scipy is a test-time oracle.  The
+trainers, the bound checks and the factorization run with scipy blocked."""
 
 import os
 import subprocess
@@ -25,7 +26,7 @@ sys.meta_path.insert(0, BlockScipy())
 import numpy as np
 
 import deeplin
-from deeplin import cli
+from deeplin import cli, verify
 from deeplin.trainers import RUNNERS, StepSchedule, TrainerConfig
 
 phi = np.array([[1.2, 0.4], [-0.3, 0.9]])
@@ -38,6 +39,9 @@ extra = {
 for name, run in RUNNERS.items():
     cfg = TrainerConfig(name, 2, 3, StepSchedule("constant", 0.05), max_iters=5, **extra[name])
     assert len(run(phi, cfg).losses) == 6, name
+net = deeplin.DeepLinearNet(np.eye(2) + 0.05 * np.arange(12.0).reshape(3, 2, 2) / 11.0)
+for check in (verify.check_gradient_lower_bound, verify.check_hessian_upper_bound):
+    assert check(net, 0.5 * phi).status == "pass", check.__name__
 res = deeplin.balanced_factorization(phi, 4)
 assert res.reconstruction_residual < 1e-12
 deeplin.write_matrix_csv(phi, sys.argv[1])

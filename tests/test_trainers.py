@@ -591,6 +591,31 @@ def test_run_that_fills_no_chunk_starts_no_pool(monkeypatch, recorder_pool):
     assert threading.active_count() == threads
 
 
+def _pooled_run(monkeypatch):
+    # a two-thread pool whatever the host, kept for the process like the
+    # pool of a run outside the fixture
+    monkeypatch.setattr(trainers, "_pool_size", lambda: 2)
+    cfg = TrainerConfig("gd", 2, 3, StepSchedule("constant", 0.05), max_iters=3 * CHUNK,
+                        record_spectra=True, record_layers=True)
+    run_with_both_recorders(monkeypatch, TARGET, cfg, CHUNK)
+    assert trainers._POOL is not None
+
+
+# These three run in this order: a pooled run, a test that requests
+# ``recorder_pool`` but never calls it, then a pooled run again, which
+# fails if that fixture's teardown shut down the process-wide pool.
+def test_process_pool_before_an_unused_fixture(monkeypatch):
+    _pooled_run(monkeypatch)
+
+
+def test_unused_recorder_pool_fixture(recorder_pool):
+    pass
+
+
+def test_process_pool_after_an_unused_fixture(monkeypatch):
+    _pooled_run(monkeypatch)
+
+
 def test_one_cpu_takes_every_chunk_inline(monkeypatch):
     monkeypatch.setattr(trainers.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(trainers.os, "cpu_count", lambda: 1)
