@@ -9,11 +9,7 @@ from .errors import (
     NumericError,
     SingularInputError,
 )
-from .factor import (
-    FactorizationResult,
-    balanced_factorization,
-    principal_root_orthogonal,
-)
+from .factor import FactorizationResult, balanced_factorization
 from .lab import (
     ScenarioConfig,
     ScenarioReport,
@@ -38,7 +34,6 @@ from .matcore import (
 )
 from .network import (
     DeepLinearNet,
-    end_to_end,
     full_gradient,
     full_hessian,
     hessian_frob_norm,

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ConfigError
 from .factor import balanced_factorization
 from .lab import (
     ScenarioConfig,
@@ -382,12 +383,13 @@ CRITERIA = (
 
 def run_suite(criteria=None, output_dir=None) -> list:
     """Run the acceptance criteria (all by default, or a 1-based subset)
-    and return one report per criterion, including wall-clock budgets."""
+    and return one report per criterion, including wall-clock budgets.  A
+    number outside 1..len(CRITERIA) is a ConfigError."""
     # an explicitly empty selection means run nothing, unlike the default
-    if criteria is None:
-        selected = set(range(1, len(CRITERIA) + 1))
-    else:
-        selected = set(criteria)
+    numbers = set(range(1, len(CRITERIA) + 1))
+    selected = numbers if criteria is None else set(criteria)
+    if unknown := sorted(selected - numbers):
+        raise ConfigError(f"criteria {unknown} outside 1..{len(CRITERIA)}")
     reports = []
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(output_dir) if output_dir else Path(tmp)

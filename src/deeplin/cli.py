@@ -19,6 +19,7 @@ import sys
 from . import lab
 from .errors import ConfigError, NumericError
 from .factor import balanced_factorization
+from .matcore import MAX_DIM, MAX_LAYERS
 
 
 def _parse_criteria(text: str):
@@ -81,7 +82,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_factor(args) -> int:
+    if not 1 <= args.layers <= MAX_LAYERS:
+        raise ConfigError(f"--layers {args.layers} outside [1, {MAX_LAYERS}]")
     a = lab.read_matrix_csv(args.matrix)
+    if len(a) > MAX_DIM:
+        raise ConfigError(f"{args.matrix} has dimension {len(a)} above {MAX_DIM}")
     result = balanced_factorization(a, args.layers)
     print(
         f"factors={args.layers} reconstruction={result.reconstruction_residual:.3e} "

@@ -1,17 +1,6 @@
-"""Principal orthogonal roots and the balanced factorization.
-
-``balanced_factorization(a, L)`` writes an invertible matrix as a product of
-L factors that all share the singular values ``sigma(a) ** (1/L)``.  The
-construction takes the polar form a = r p, the principal roots of each part,
-and conjugates the scaling root by powers of the rotation root so the pieces
-telescope.  One SVD a = U S V^T gives both parts, r = U V^T and
-p = V S V^T, and with them the symmetric root p^(1/L) = V S^(1/L) V^T
-(Higham, Functions of Matrices, 2008, ch. 7-8).
-
-Principal roots are real matrices.  The rotation r is normal, so all its
-powers r^(k/L) come from one eigendecomposition, each eigenvalue
-e^(i theta) going to e^(i k theta / L) (ch. 7); an eigenvalue at -1
-(rotation by pi) has no real principal root and is rejected loudly.
+"""The balanced factorization of an invertible matrix into L factors that
+share the singular values ``sigma(a) ** (1/L)``; ``balanced_factorization``
+derives it.
 """
 
 from __future__ import annotations
@@ -24,7 +13,6 @@ import numpy as np
 from .errors import NoRealRootError, NumericError, SingularInputError
 from .matcore import as_mat, cond_estimate, eye, frob_norm, singular_values, sym
 
-ORTHO_TOL = 1e-8
 # Eigenvalue angles within this of +-pi count as an eigenvalue at -1.
 NEG_ONE_ANGLE_TOL = 1e-8
 SPD_FLOOR = 1e-12
@@ -52,8 +40,10 @@ class FactorizationResult:
 
 def _orthogonal_powers(r: np.ndarray, L: int) -> np.ndarray:
     """The principal powers r ** (k/L), k = 0..L, of an orthogonal r as one
-    (L + 1, d, d) stack.  With r = V diag(lambda) V^-1, r ** x is
-    sum_j lambda_j ** x v_j (V^-1)_j, so all are rows of one complex product.
+    (L + 1, d, d) stack.  r is normal, so with r = V diag(lambda) V^-1,
+    r ** x is sum_j lambda_j ** x v_j (V^-1)_j, each eigenvalue e^(i theta)
+    going to e^(i x theta), and all are rows of one complex product.  An
+    eigenvalue at -1 has no real principal root and raises NoRealRootError.
     Entry 0 is exactly I, and at L == 1 entry 1 is r itself."""
     d = len(r)
     if L == 1:
@@ -76,31 +66,20 @@ def _orthogonal_powers(r: np.ndarray, L: int) -> np.ndarray:
     return powers
 
 
-def principal_root_orthogonal(r, L: int) -> np.ndarray:
-    """Principal L-th root of an orthogonal matrix, itself orthogonal.
-
-    Each eigenvalue e^(i theta) of r becomes e^(i theta / L); an eigenvalue
-    at -1 admits no real principal root.
-    """
-    r = as_mat(r)
-    d = len(r)
-    if not isinstance(L, (int, np.integer)) or L < 1:
-        raise ValueError("L must be a positive integer")
-    if frob_norm(r.T @ r - eye(d)) > ORTHO_TOL * d:
-        raise ValueError("input is not orthogonal within tolerance")
-    return _orthogonal_powers(r, L)[1]
-
-
 def balanced_factorization(a, L: int) -> FactorizationResult:
     """Split ``a`` into L factors with identical singular values.
 
-    With a = r p polar, factor i is ``r1 @ (rk @ p1 @ rk.T)`` where r1, p1
-    are the principal L-th roots and rk = r ** ((L - i)/L); the conjugations
-    cancel in the product.  One SVD a = U S V^T gives p1 = V S^(1/L) V^T,
-    and one eigendecomposition of r = U V^T every power of r.  Factors are
-    returned as one stack in product order, so ``factors[0] @ ... @
-    factors[-1]`` reconstructs ``a``.  A numerically singular input raises
-    SingularInputError; a failed reconstruction raises NumericError.
+    With the polar form a = r p, factor i is ``r1 @ (rk @ p1 @ rk.T)``,
+    where r1 and p1 are the principal L-th roots of r and p and
+    rk = r ** ((L - i)/L); the conjugations cancel in the product.  One SVD
+    a = U S V^T gives both polar parts, r = U V^T and p = V S V^T, and the
+    symmetric root p1 = V S^(1/L) V^T; ``_orthogonal_powers`` gives every
+    power of r from one eigendecomposition (Higham, Functions of Matrices,
+    2008, ch. 7-8).  Factors are returned as one stack in product order, so
+    ``factors[0] @ ... @ factors[-1]`` reconstructs ``a``.  A numerically
+    singular input raises SingularInputError, a rotation part with an
+    eigenvalue at -1 (no real principal root) NoRealRootError, and a failed
+    reconstruction NumericError.
     """
     a = as_mat(a)
     if not isinstance(L, (int, np.integer)) or L < 1:

@@ -2,16 +2,10 @@
 artifacts, and the process-facing entry points behind the CLI.
 
 Each value in a scenario config must have its dataclass field's type.
-Artifacts per scenario (when an output directory is set): the trace's
-columns as a CSV in the fixed order ``t,loss,loss_half,radius_R,min_sv,
-max_norm,U_t`` plus interleaved real/imag eigenvalue columns when spectra
-are recorded (NaN is an empty cell), a JSONL file with one check report
-per line, and a JSON scenario report.  Floats are written with
-repr-faithful %.17g formatting, so reruns of the same build produce
-byte-identical CSVs.
-
-Matrix CSV interchange (used by the ``factor`` subcommand) is row-major
-with a ``d,<dim>`` header line.
+With an output directory set, ``run_scenario`` writes the trace CSV of
+``write_trace_csv``, a JSONL file with one check report per line, and a
+JSON scenario report.  Matrix CSV interchange (used by the ``factor``
+subcommand) is row-major with a ``d,<dim>`` header line.
 """
 
 from __future__ import annotations
@@ -22,7 +16,6 @@ import os
 import sys
 import time
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, is_dataclass
 from numbers import Integral
 from pathlib import Path
@@ -285,9 +278,11 @@ def _fmt(x: float) -> str:
 
 
 def write_trace_csv(trace: TrainingTrace, path):
-    """Fixed-order trace columns; eigenvalue columns appear only when the
-    trace recorded spectra.  A NaN cell (a row without a half-step loss)
-    is written empty."""
+    """The trace's columns in a fixed order, then interleaved real and
+    imaginary eigenvalue columns when the trace recorded spectra.  A NaN
+    cell (a row without a half-step loss) is written empty.  Floats are
+    written with repr-faithful %.17g, so reruns of the same build write
+    byte-identical files."""
     cols = ["t", "loss", "loss_half", "radius_R", "min_sv", "max_norm", "U_t"]
     values = [
         trace.losses, trace.loss_halves, trace.radii,
@@ -393,37 +388,23 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
     cfg.validate()
     phi = make_target(cfg.target)
     margin = gamma_margin(phi)
-    outdir = None
-    if cfg.output_dir is not None:
-        outdir = Path(cfg.output_dir)
-        outdir.mkdir(parents=True, exist_ok=True)
-
     start = time.perf_counter()
+    trace, checks, detail = None, [], ""
     try:
         trace = RUNNERS[cfg.trainer.algorithm](phi, cfg.trainer)
     except NumericError as exc:
-        report = ScenarioReport(
-            cfg.scenario_id, "error", None, None, [],
-            time.perf_counter() - start, margin, str(exc),
-        )
-        if outdir is not None:
-            (outdir / f"{cfg.scenario_id}_report.json").write_text(
-                json.dumps(report.to_dict(), indent=2) + "\n"
-            )
-        return report
-
-    status = trace.status
-    rows = len(trace.losses)
-    min_loss = float(np.min(trace.losses)) if rows else None
-    if (
-        cfg.target.kind == "neg_eig_diag"
-        and status == "budget"
-        and min_loss is not None
-        and min_loss >= cfg.target.lam**2 / 2.0 - 1e-12
-    ):
-        status = "floor-confirmed"
-
-    checks = _run_checks(cfg.checks, trace, phi)
+        status, detail = "error", str(exc)
+    else:
+        status = trace.status
+        if (
+            status == "budget"
+            and cfg.target.kind == "neg_eig_diag"
+            and len(trace.losses)
+            and float(np.min(trace.losses)) >= cfg.target.lam**2 / 2.0 - 1e-12
+        ):
+            status = "floor-confirmed"
+        checks = _run_checks(cfg.checks, trace, phi)
+    rows = 0 if trace is None else len(trace.losses)
     report = ScenarioReport(
         cfg.scenario_id,
         status,
@@ -432,12 +413,17 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
         checks,
         time.perf_counter() - start,
         margin,
+        detail,
     )
-    if outdir is not None:
-        write_trace_csv(trace, outdir / f"{cfg.scenario_id}_trace.csv")
-        with open(outdir / f"{cfg.scenario_id}_checks.jsonl", "w") as fh:
-            for c in checks:
-                fh.write(json.dumps(c.to_dict()) + "\n")
+
+    if cfg.output_dir is not None:
+        outdir = Path(cfg.output_dir)
+        outdir.mkdir(parents=True, exist_ok=True)
+        if trace is not None:
+            write_trace_csv(trace, outdir / f"{cfg.scenario_id}_trace.csv")
+            with open(outdir / f"{cfg.scenario_id}_checks.jsonl", "w") as fh:
+                for c in checks:
+                    fh.write(json.dumps(c.to_dict()) + "\n")
         (outdir / f"{cfg.scenario_id}_report.json").write_text(
             json.dumps(report.to_dict(), indent=2) + "\n"
         )
@@ -479,6 +465,8 @@ def sweep(directory, workers: int | None = None) -> list:
     workers = min(workers, len(paths), _usable_cpus())
     if workers <= 1:
         return [_run_scenario_path(p) for p in paths]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_scenario_path, paths))
 

@@ -7,29 +7,10 @@ layers[0]``, which ``product`` forms.  Layer indices in the formulas below
 are 1-based; P[k] and S[k] are the prefix and suffix products of
 ``prefix_suffix_products``.
 
-A net forms its products and its layer singular values once, on first
-read, and keeps them read-only in the cached properties ``products`` and
-``singular_values``.  That is safe because the net owns its layers and
-they are read-only, so the cache cannot go stale.  ``loss``, the
-derivatives and the curvature bound read ``products``; ``end_to_end``
-still returns a fresh array.
-
 The loss is ``0.5 * ||product - target||_F^2``, ``residual_loss`` of the
 residual.  Derivative formulas below are exact for this convention; the
 second-derivative matrix flattens the layers layer-major and column-major
-inside each layer.  Each of its blocks is a sum of two Kronecker-structured
-terms, and <A (x) B, C (x) D>_F = <A, C>_F <B, D>_F.  So with A_i = S[i]
-S[i]^T, B_i = P[i-1]^T P[i-1], C_j = R^T A_j R for the residual R, M_ij
-the product of layers i+1..j-1 and W_ij = P[j-1] B_i R^T A_j S[i],
-``hessian_frob_norm`` gets
-
-    ||H||_F^2 = sum_{i,j} <A_i, A_j> <B_i, B_j>
-                + 2 sum_{i<j} (||M_ij||^2 <B_i, C_j> + 2 <M_ij, W_ij>)
-
-without forming the matrix.  The first sum is over all i and j: its
-summand is symmetric, so the weight 2 of the pairs off the diagonal comes
-free from two L x L Gram matrices.  Only the second sum is taken pair by
-pair.
+inside each layer, and ``hessian_frob_norm`` derives its norm.
 """
 
 from __future__ import annotations
@@ -47,7 +28,10 @@ from .matcore import MAX_HESSIAN_SIDE, MAX_LAYERS, as_mat, as_stack, eye, singul
 class DeepLinearNet:
     """L square layers of a common dimension d, held as one read-only
     (L, d, d) float64 array that the net owns.  Any array-like of that
-    shape is accepted, a tuple of matrices included, and copied."""
+    shape is accepted, a tuple of matrices included, and copied.  The
+    layers cannot change, so the cached ``products`` and
+    ``singular_values``, which the loss, the derivatives and the curvature
+    bound read, cannot go stale."""
 
     layers: np.ndarray
 
@@ -83,10 +67,6 @@ class DeepLinearNet:
         sv.flags.writeable = False
         return sv
 
-    @staticmethod
-    def identity(d: int, L: int) -> "DeepLinearNet":
-        return DeepLinearNet(np.tile(np.eye(d), (L, 1, 1)))
-
 
 def _target(net: DeepLinearNet, phi) -> np.ndarray:
     phi = as_mat(phi, name="target")
@@ -120,12 +100,6 @@ def _chain(layers, pre, suf):
         yield suf[k + 1], layers[k], suf[k]
 
 
-def layer_gradients(pre: np.ndarray, suf: np.ndarray, residual: np.ndarray) -> np.ndarray:
-    """The (L, d, d) gradient stack G_i = S[i]^T R P[i-1]^T, from the
-    products of ``prefix_suffix_products`` and the residual R."""
-    return suf[1:].transpose(0, 2, 1) @ residual @ pre[:-1].transpose(0, 2, 1)
-
-
 def product(layers) -> np.ndarray:
     """The end-to-end map of an (..., L, d, d) array of layers, one per
     leading index: ``layers[..., k, :, :] @ prod`` for k = 0..L-1 from the
@@ -142,27 +116,20 @@ def residual_loss(residual) -> float:
     return 0.5 * float((residual * residual).sum())
 
 
-def end_to_end(net: DeepLinearNet) -> np.ndarray:
-    """The full product ``layers[L-1] @ ... @ layers[0]``."""
-    return product(net.layers)
-
-
 def loss(net: DeepLinearNet, phi) -> float:
     """Half squared Frobenius distance between the end-to-end map and ``phi``."""
     return residual_loss(net.products[0][net.L] - _target(net, phi))
 
 
 def full_gradient(net: DeepLinearNet, phi) -> np.ndarray:
-    """All layer gradients as one (L, d, d) stack, from the net's
-    prefix and suffix products."""
+    """All layer gradients G_i = S[i]^T R P[i-1]^T, R the residual, as one
+    (L, d, d) stack from the net's prefix and suffix products."""
     phi = _target(net, phi)
     pre, suf = net.products
-    return layer_gradients(pre, suf, pre[net.L] - phi)
+    return suf[1:].transpose(0, 2, 1) @ (pre[net.L] - phi) @ pre[:-1].transpose(0, 2, 1)
 
 
-# entries of one chunk: a chunk of ``full_hessian`` holds max(1, _BUDGET //
-# d^4) blocks of d^4 entries, one of ``hessian_frob_norm`` max(1, _BUDGET //
-# (L d^2)) diagonals of at most L d x d matrices
+# about the entries of one chunk of ``full_hessian`` or ``hessian_frob_norm``
 _BUDGET = 2**15
 
 
@@ -184,10 +151,8 @@ def full_hessian(net: DeepLinearNet, phi) -> np.ndarray:
     term.  A row costs O((L - i + 1) d^4) work in ceil((L - i + 1) / c)
     chunks, and no chunk intermediate has more than max(_BUDGET, d^4)
     entries.  The lower off-diagonal blocks are transposes of their upper
-    counterparts.  The output itself is capped by MAX_HESSIAN_SIDE.
-    ``hessian_frob_norm`` needs the same M, forms them by doubling instead
-    of this recurrence, and takes the rest of ||H||_F from L x L Gram
-    matrices.
+    counterparts.  The output itself is capped by MAX_HESSIAN_SIDE;
+    ``hessian_frob_norm`` takes its norm without forming it.
     """
     d, L = net.d, net.L
     n = L * d * d

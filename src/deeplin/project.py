@@ -67,13 +67,11 @@ def project_identity_ball(a, ball: IdentityBall) -> np.ndarray:
     """Frobenius projection onto an IdentityBall of one matrix, or of each
     matrix of an (L, d, d) stack, returned in the input's shape.
 
-    General mode clips the singular values of A - I at the radius.  Whether
-    a matrix clips is decided from the largest singular value ``op_norm``
-    gives, taken in one values-only SVD of the matrices the Frobenius norm
-    does not already place inside the ball, and only the matrices that clip
-    get a full SVD.  The psd mode requires symmetric input and
-    clips eigenvalues onto [max(0, 1 - radius), 1 + radius]; the result then
-    commutes with the input.  Feasible matrices are returned unchanged.
+    General mode clips the singular values of A - I at the radius;
+    ``_ball_kernel`` says which matrices get an SVD.  The psd mode requires
+    symmetric input and clips eigenvalues onto [max(0, 1 - radius),
+    1 + radius]; the result then commutes with the input.  Feasible
+    matrices are returned unchanged.
     """
     stack = as_stack(a) if np.ndim(a) == 3 else as_mat(a)[None]
     if ball.psd_constrained:

@@ -1,43 +1,17 @@
 """Trainers for the deep linear model, all driven by one training loop.
 
-``_train`` holds the layers as one ``(L, d, d)`` array, starts from scaled
-identity layers and updates every layer simultaneously from the same
-pre-step iterate.  It owns the loss, the divergence, convergence and
-budget stops, the trace rows, the step-size schedule and the gradient step.
-A step that leaves the layers, or the product the loss is taken from,
-non-finite ends the run as ``diverged`` with the last finite iterate kept.
-A run allocates its workspace once and a step writes only into the idle
-one of two layer buffers, making the same calls as on fresh arrays, so the
-last finite iterate needs no copy and the trace is that of fresh arrays.
-A run that reaches a fixed point of its step stops there: when the loss,
-the layers (byte for byte) and the step size all repeat those of the step
-before, and the schedule can no longer change, every input of the step map
-repeats, so every later row would too.  The loop then repeats the last
-row to the end of the budget and ends as ``budget``, as the full run would.
-The trainers differ only in the update rule and an optional settle step:
-
-* ``run_gd``: the plain gradient step.
-* ``run_penalty_gd``: a pull toward identity layers, either the
-  shrink-toward-identity update (canonical) or plain descent on the
-  penalized objective.
-* ``run_step_and_project``: each stepped layer is projected onto an
-  operator-norm ball around the identity.
-* ``run_power_projection``: the stepped product is projected onto the
-  gamma-positive set and refactored into balanced layers; the next loss is
-  taken from the projected product.
+``_train`` starts from scaled identity layers, held as one ``(L, d, d)``
+array, and updates every layer simultaneously from the same pre-step
+iterate; its docstring describes the workspace and the fixed-point exit.
+It owns the loss, the divergence, convergence and budget stops, the trace
+rows, the step-size schedule and the gradient step.  A step that leaves
+the layers, or the product the loss is taken from, non-finite ends the run
+as ``diverged`` with the last finite iterate kept.  The trainers of
+``RUNNERS`` differ only in the update rule and an optional settle step.
 
 A trace holds one row per iterate, including t = 0, stored as columns (one
 array per statistic), and is deterministic: the loop draws no randomness.
-The recorder takes the statistics of each full chunk of iterates (two
-values-only SVDs and the batched ``eigvals``) on a module-level thread pool
-while the loop runs on; numpy releases the GIL in those calls.  The running
-maxima, the tables and the recorded layers stay on the caller's thread, in
-chunk order, and each job makes the same LAPACK calls on the same bytes, so
-the trace is bitwise that of taking every chunk inline.  The partial last
-chunk is taken inline, so a run that never fills a chunk starts no thread
-and its time does not hang on another thread being scheduled.  The pool
-has min(_RING - 1, CPUs) threads, counting the CPUs this process may run
-on, is not created on one CPU, and once created lives for the process.
+``_Recorder`` takes its statistics.
 """
 
 from __future__ import annotations
@@ -46,7 +20,6 @@ import math
 import os
 import warnings
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -269,9 +242,12 @@ def _pool_size() -> int:
 
 
 def _pool():
-    """The recorder's thread pool, created on first use; None on one CPU."""
+    """The recorder's thread pool, created on first use and kept for the
+    process; None on one CPU."""
     global _POOL
     if _POOL is None and (size := _pool_size()):
+        from concurrent.futures import ThreadPoolExecutor
+
         _POOL = ThreadPoolExecutor(size, thread_name_prefix="deeplin-recorder")
     return _POOL
 
@@ -290,29 +266,27 @@ class _Recorder:
     """Trace rows and the running radius and norm statistics, taken a chunk
     of iterates at a time.
 
-    ``add`` records the losses and copies the layers (and, with spectra, the
-    loss product) into a chunk buffer of ``_CHUNK_ENTRIES // (L d^2)``
-    iterates, at least one.  A chunk's statistics come from
-    ``_chunk_stats``: one values-only SVD of the layers, one of the layers
-    minus I and one batched ``eigvals``; each matrix still goes through the
-    same LAPACK call, so the values are those of per-iterate calls.
-
-    A full chunk goes to the module's thread pool as one ``_chunk_stats``
-    job, and the loop fills the next buffer of a ring of at most ``_RING``
-    while the pool works; with every buffer busy it waits for the oldest
-    job.  A buffer is allocated only when the previous one fills and the
-    pool is created only then, so a run that never fills a chunk starts no
-    thread.  What depends on order stays on the caller's thread, in chunk
-    order: the recorded layers grow when a chunk is submitted, and the
+    ``add`` copies each iterate's layers (and, with spectra, its loss
+    product) into a chunk buffer of ``_CHUNK_ENTRIES // (L d^2)`` iterates,
+    at least one.  ``_chunk_stats`` takes a chunk's statistics with the same
+    LAPACK call per matrix that per-iterate calls would make, so the values
+    are theirs.  A full chunk goes to the thread pool of ``_pool`` as one
+    job, which runs while the loop fills the next buffer of a ring of at
+    most ``_RING`` (numpy releases the GIL in those calls); with every
+    buffer busy the loop waits for the oldest job.  Buffers and the pool
+    are made only when a chunk fills.  What depends on order stays on this
+    thread, in chunk order: the recorded layers grow on submission, and the
     running maxima, tables and spectra are taken up as jobs are collected.
-    The same calls on the same bytes give the same values on any thread.
-    Without a pool every chunk is taken inline.  ``columns`` and
-    ``repeat`` take the partial chunk inline and collect every job.
-    ``radius``, read every step by the admissible schedule, flushes only on
-    its first read; later reads take the deviation SVD of the rows added
-    since and leave full chunks to the pool.  Recorded layers grow in place
-    a chunk at a time, so the snapshots are held once; ``columns`` hands
-    them to the trace without a copy.
+    The same calls on the same bytes give the same values on any thread, so
+    the trace is bitwise that of taking every chunk inline, as is done
+    without a pool.
+
+    ``columns`` and ``repeat`` take the partial last chunk inline while the
+    pool finishes, so a run that never fills a chunk starts no thread and
+    never waits on one.  ``radius``, read every step by the admissible
+    schedule, flushes on its first read only; later reads take the
+    deviation SVD of the rows added since.  Recorded layers grow in place,
+    so the snapshots are held once and handed to the trace without a copy.
     """
 
     def __init__(self, phi: np.ndarray, cfg: TrainerConfig):
@@ -488,24 +462,21 @@ def _train(
     The run allocates its workspace once: two layer buffers, the prefix and
     suffix stacks with P[0] = S[L] = I, the gradient scratch, and for each
     buffer the ``network._chain`` triples that refill the stacks from it.
-    A step writes only into the idle buffer, so the last finite iterate is
-    kept by reference when the next step diverges.  The recorder copies
-    each iterate into its chunk buffer and takes the statistics a chunk at
-    a time.
+    A step writes only into the idle buffer, making the same calls as on
+    fresh arrays, so the trace is that of fresh arrays and the last finite
+    iterate is kept by reference when the next step diverges.
 
     Before the update writes the idle buffer, that buffer still holds the
     previous iterate.  On a step whose loss equals the previous row's, the
-    two buffers are compared byte for byte (as int64, so -0.0 differs
-    from 0.0).  If they match, the step size equals the last one, and
-    the schedule no longer reads t (``constant``, ``admissible``,
-    ``default``, or ``sequence`` at or past its last entry), then the step
-    map gets the same inputs as on the step before: the same bytes through
-    the same calls, with the admissible bound reading a running radius and
-    a loss that repeat too.  So every later iterate, row, step size,
-    spectrum and snapshot equals the current one, and the loop appends the
-    step size and ``rec.repeat`` the row up to ``max_iters``.  A loss taken
-    from a settled product (power projection) can first repeat a step after
-    the layers do, which only delays the exit.
+    two buffers are compared byte for byte (as int64, so -0.0 differs from
+    0.0).  If they match, the step size repeats and the schedule no longer
+    reads t (any mode but ``sequence`` before its last entry), then the
+    step map gets the same bytes through the same calls as on the step
+    before, the admissible bound included.  Every later row, step size,
+    spectrum and snapshot would repeat too, so the loop appends them up to
+    ``max_iters`` (``rec.repeat``) and ends as ``budget``, as the full run
+    would.  A loss taken from a settled product (power projection) can
+    first repeat a step after the layers do, which only delays the exit.
     """
     step_size = _step_size(phi, cfg)
     rec = _Recorder(phi, cfg)

@@ -12,17 +12,8 @@ and takes the first row with the largest excess as its witness.
 The finite-difference checks evaluate the loss directly from flattened
 parameters and never touch the analytic derivative code, so they are an
 independent oracle for it.  Only ``fd_hessian_check`` assembles the
-second-derivative matrix H and is capped by MAX_HESSIAN_SIDE.  The
-curvature bound reads ||H||_F from d x d pieces (``network`` has the
-notation): each block of H is X (x) Y + [i < j] M (x) Q up to an index
-permutation, and <A (x) B, C (x) D>_F = <A, C>_F <B, D>_F turns all but
-one term of ||H||_F^2 into L x L Gram matrices,
-
-    ||H||_F^2 = sum_{i,j} <A_i, A_j> <B_i, B_j>
-                + 2 sum_{i<j} (||M_ij||^2 <B_i, C_j> + 2 <M_ij, W_ij>).
-
-The first sum runs over all i and j with a symmetric summand, so it counts
-each block off the diagonal twice by itself.
+second-derivative matrix H and is capped by MAX_HESSIAN_SIDE; the curvature
+bound reads ||H||_F from ``network.hessian_frob_norm``.
 
 Note on conventions: the loss is 0.5 ||product - target||_F^2 throughout
 the package.  The classical gradient lower bound and the induced loss
@@ -96,14 +87,6 @@ def _loss_flat(x: np.ndarray, phi: np.ndarray, d: int, L: int) -> float:
     return 0.5 * float(np.sum(r * r))
 
 
-def _oversized_hessian_note(net: DeepLinearNet) -> str:
-    """Why the second-derivative matrix of ``net`` is not formed, or ''."""
-    n = net.L * net.d * net.d
-    if n > MAX_HESSIAN_SIDE:
-        return f"second-derivative side {n} exceeds the bound {MAX_HESSIAN_SIDE}"
-    return ""
-
-
 def _check_h(h: float):
     if not 1e-8 < h < 1e-2:
         raise ValueError(f"finite-difference step {h} outside the sane range")
@@ -152,11 +135,13 @@ def fd_hessian_check(net: DeepLinearNet, phi, h: float = 1e-3, tol: float = 1e-4
     """Second-order central differences against the assembled
     second-derivative matrix, compared entrywise in absolute terms."""
     _check_h(h)
-    if note := _oversized_hessian_note(net):
-        return _skipped("fd_hessian", note)
-    phi = np.asarray(phi, dtype=float)
     d, L = net.d, net.L
     n = L * d * d
+    if n > MAX_HESSIAN_SIDE:
+        return _skipped(
+            "fd_hessian", f"second-derivative side {n} exceeds the bound {MAX_HESSIAN_SIDE}"
+        )
+    phi = np.asarray(phi, dtype=float)
     x = _flatten(net.layers)
     h_fd = np.empty((n, n))
     for i in range(n):
@@ -236,18 +221,8 @@ def check_hessian_upper_bound(net: DeepLinearNet, phi) -> CheckReport:
     """Curvature bound: ||hessian||_F <= 3 L d^5 (1+z)^(2L) with
     1 + z = max layer operator norm (at least 1).  Requires
     ||phi||_2 <= (1+z)^L; otherwise skipped, and skipped too when the
-    bound passes the float range.
-
-    The left side comes from ``hessian_frob_norm`` without forming the
-    matrix: with A_i = S[i] S[i]^T, B_i = P[i-1]^T P[i-1], C_j = R^T A_j R,
-    M_ij the product of layers i+1..j-1 and W_ij = P[j-1] B_i R^T A_j S[i],
-
-        ||H||_F^2 = sum_{i,j} <A_i, A_j> <B_i, B_j>
-                    + 2 sum_{i<j} (||M_ij||^2 <B_i, C_j> + 2 <M_ij, W_ij>),
-
-    where the first sum, symmetric over the full square, counts each block
-    off the diagonal twice, as the transposed lower blocks require.  Its
-    memory stays bounded, so no network is too wide."""
+    bound passes the float range.  The left side is ``hessian_frob_norm``,
+    which never forms the matrix, so no network is too wide."""
     phi = np.asarray(phi, dtype=float)
     z = max(0.0, float(net.singular_values[:, 0].max()) - 1.0)
     if op_norm(phi) > _power(1.0 + z, net.L):

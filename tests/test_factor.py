@@ -6,17 +6,14 @@ import scipy.linalg
 
 from deeplin import factor
 from deeplin.errors import NoRealRootError, NumericError, SingularInputError
-from deeplin.factor import (
-    NEG_ONE_ANGLE_TOL,
-    ORTHO_TOL,
-    SPD_FLOOR,
-    balanced_factorization,
-    principal_root_orthogonal,
-)
+from deeplin.factor import NEG_ONE_ANGLE_TOL, SPD_FLOOR, balanced_factorization
 from deeplin.lab import random_orthogonal
 from deeplin.matcore import as_mat, frob_norm, rotation, sym
 
 EPS = np.finfo(float).eps
+# distance from orthogonality, ||r^T r - I||_F per unit of d, that the Schur
+# oracle accepts
+ORTHO_TOL = 1e-8
 
 
 def _schur_root(r, L: int) -> np.ndarray:
@@ -148,7 +145,7 @@ def test_balance_residual_matches_formula():
 
 def test_orthogonal_root_rotation():
     r = rotation(np.pi / 2)
-    root = principal_root_orthogonal(r, 3)
+    root = factor._orthogonal_powers(r, 3)[1]
     np.testing.assert_allclose(root, rotation(np.pi / 6), atol=1e-12)
     prod = root @ root @ root
     np.testing.assert_allclose(prod, r, atol=1e-12)
@@ -156,7 +153,7 @@ def test_orthogonal_root_rotation():
 
 def test_orthogonal_root_block_diagonal():
     r = scipy.linalg.block_diag(rotation(2.0 * np.pi / 3.0), np.eye(1))
-    root = principal_root_orthogonal(r, 2)
+    root = factor._orthogonal_powers(r, 2)[1]
     expected = scipy.linalg.block_diag(rotation(np.pi / 3.0), np.eye(1))
     np.testing.assert_allclose(root, expected, atol=1e-12)
 
@@ -165,7 +162,7 @@ def test_root_idempotence_at_one():
     rng = np.random.default_rng(9)
     q = random_orthogonal(4, rng)
     r = q @ scipy.linalg.block_diag(rotation(0.4), rotation(-1.1)) @ q.T
-    np.testing.assert_allclose(principal_root_orthogonal(r, 1), r, atol=1e-12)
+    np.testing.assert_allclose(factor._orthogonal_powers(r, 1)[1], r, atol=1e-12)
     b = rng.standard_normal((4, 4))
     p = sym(b @ b.T) + 0.5 * np.eye(4)
     np.testing.assert_allclose(balanced_factorization(p, 1).factors[0], p, atol=1e-12)
@@ -173,22 +170,17 @@ def test_root_idempotence_at_one():
 
 def test_orthogonal_root_identity_and_reflection_pair():
     np.testing.assert_allclose(
-        principal_root_orthogonal(np.eye(3), 5), np.eye(3), atol=1e-14
+        factor._orthogonal_powers(np.eye(3), 5)[1], np.eye(3), atol=1e-14
     )
     # det +1 with a pi rotation sits on the branch cut
     half_turn = np.diag([-1.0, -1.0, 1.0])
     with pytest.raises(NoRealRootError):
-        principal_root_orthogonal(half_turn, 2)
+        factor._orthogonal_powers(half_turn, 2)
 
 
 def test_orthogonal_root_negative_eigenvalue_rejected():
     with pytest.raises(NoRealRootError):
-        principal_root_orthogonal(np.diag([-1.0, 1.0]), 2)
-
-
-def test_orthogonal_root_requires_orthogonal_input():
-    with pytest.raises(ValueError):
-        principal_root_orthogonal(np.diag([2.0, 1.0]), 2)
+        factor._orthogonal_powers(np.diag([-1.0, 1.0]), 2)
 
 
 def test_orthogonal_root_matches_matrix_log_route():
@@ -202,7 +194,7 @@ def test_orthogonal_root_matches_matrix_log_route():
             blocks.append(np.eye(1))
         r = q @ scipy.linalg.block_diag(*blocks) @ q.T
         for L in (2, 3, 5):
-            root = principal_root_orthogonal(r, L)
+            root = factor._orthogonal_powers(r, L)[1]
             ref = scipy.linalg.expm(scipy.linalg.logm(r) / L).real
             np.testing.assert_allclose(root, ref, atol=1e-9)
 
@@ -219,7 +211,7 @@ def test_orthogonal_powers_match_schur_walk():
         r = _rotation_powers(q, angles, d, 1.0)
         powers = factor._orthogonal_powers(r, L)
         schur = _schur_root(r, L)
-        np.testing.assert_allclose(principal_root_orthogonal(r, L), schur, rtol=0, atol=2e-14)
+        np.testing.assert_allclose(powers[1], schur, rtol=0, atol=2e-14)
         assert powers.shape == (L + 1, d, d)
         assert np.array_equal(powers[0], np.eye(d))
         chained = np.eye(d)
@@ -258,9 +250,9 @@ def test_orthogonal_root_near_pi_matches_schur_walk(near_pi):
 def test_orthogonal_root_at_pi_names_the_angle():
     r = _rotation_powers(np.eye(4), [np.pi - 1e-9, 0.5], 4, 1.0)
     with pytest.raises(NoRealRootError, match="rotation angle"):
-        principal_root_orthogonal(r, 3)
+        factor._orthogonal_powers(r, 3)
     with pytest.raises(NoRealRootError, match="^eigenvalue at -1; no real"):
-        principal_root_orthogonal(np.diag([1.0, -1.0, -1.0]), 3)
+        factor._orthogonal_powers(np.diag([1.0, -1.0, -1.0]), 3)
 
 
 @pytest.mark.parametrize(
@@ -288,8 +280,9 @@ def test_orthogonal_root_clustered_angles(angles):
 
 
 def test_orthogonal_root_of_near_orthogonal_input():
-    # inside ORTHO_TOL but not normal: the walk treats each 2x2 block as a
-    # scaled rotation, the eigendecomposition takes the exact principal root
+    # within ORTHO_TOL of orthogonal but not normal: the walk treats each
+    # 2x2 block as a scaled rotation, the eigendecomposition takes the exact
+    # principal root
     rng = np.random.default_rng(29)
     for _ in range(10):
         d = int(rng.integers(2, 17))
@@ -297,7 +290,7 @@ def test_orthogonal_root_of_near_orthogonal_input():
         r = _rotation_powers(random_orthogonal(d, rng), rng.uniform(-3.0, 3.0, d // 2), d, 1.0)
         r = r + 1e-10 * rng.standard_normal((d, d))
         assert frob_norm(r.T @ r - np.eye(d)) <= ORTHO_TOL * d
-        root = principal_root_orthogonal(r, L)
+        root = factor._orthogonal_powers(r, L)[1]
         np.testing.assert_allclose(root, _schur_root(r, L), rtol=0, atol=1e-9)
         np.testing.assert_allclose(np.linalg.matrix_power(root, L), r, rtol=0, atol=1e-13)
 

@@ -1,5 +1,6 @@
 """Targets, scenario configs, artifacts, sweep, and the CLI surface."""
 
+import concurrent.futures
 import faulthandler
 import json
 import math
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import deeplin
 from deeplin import cli, lab, trainers
-from deeplin.errors import ConfigError
+from deeplin.errors import ConfigError, NumericError
 from deeplin.lab import (
     ScenarioConfig,
     ScenarioReport,
@@ -99,6 +100,8 @@ def test_empty_criteria_selection():
     from deeplin.acceptance import run_suite
 
     assert run_suite(criteria=[]) == []
+    with pytest.raises(ConfigError, match=r"criteria \[0, 11\] outside 1\.\.10"):
+        run_suite(criteria=[11, 3, 0])
 
 
 def test_gamma_margin():
@@ -563,6 +566,20 @@ def test_recorder_linalg_failure_is_an_error_report(monkeypatch, recorder_pool, 
     assert on_pool and all(on_pool) == bool(pool_size)
 
 
+def test_error_report_is_the_only_artifact(tmp_path, monkeypatch):
+    def fail(phi, cfg):
+        raise NumericError("factorization failed to reconstruct the input")
+
+    monkeypatch.setitem(lab.RUNNERS, "gd", fail)
+    report = run_scenario(scenario_from_dict(demo_config(tmp_path / "out")))
+    assert report.status == "error"
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["demo_report.json"]
+    written = json.loads((tmp_path / "out" / "demo_report.json").read_text())
+    assert written["status"] == "error" and written["checks"] == []
+    assert written["detail"] == "factorization failed to reconstruct the input"
+    assert written == {**report.to_dict(), "wall_clock": written["wall_clock"]}
+
+
 def test_cli_run_success(tmp_path, capsys):
     cfg_path = tmp_path / "demo.json"
     cfg_path.write_text(json.dumps(demo_config(tmp_path / "out")))
@@ -792,7 +809,7 @@ def serial_pool(monkeypatch, cpus):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(lab, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(lab.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     monkeypatch.setattr(lab.os, "cpu_count", lambda: cpus)
     return seen
@@ -844,13 +861,51 @@ def test_cli_factor_and_numeric_exit(tmp_path, capsys):
     assert cli.main(["factor", str(bad), "--layers", "2"]) == 3
 
 
+@pytest.mark.parametrize(
+    "side, layers, message",
+    [
+        (2, "0", "--layers 0 outside [1, 64]"),
+        (2, "-3", "--layers -3 outside [1, 64]"),
+        (2, "65", "--layers 65 outside [1, 64]"),
+        (17, "2", "dimension 17 above 16"),
+    ],
+)
+def test_cli_factor_out_of_range_is_a_config_error(tmp_path, capsys, side, layers, message):
+    path = tmp_path / "diag.csv"
+    rows = [",".join("2.0" if i == j else "0.0" for j in range(side)) for i in range(side)]
+    path.write_text("\n".join([f"d,{side}", *rows]) + "\n")
+    assert cli.main(["factor", str(path), "--layers", layers]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cli_verify_subset(tmp_path, capsys):
     assert cli.main(["verify", "--criteria", "7", "--output", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "[PASS] 07-balanced-factorization" in out
     assert cli.main(["verify", "--criteria", "bogus"]) == 2
+    # numbers outside 1..10 run nothing and name the range
+    for criteria in ("99", "0,11", "7,11"):
+        assert cli.main(["verify", "--criteria", criteria]) == 2
+        captured = capsys.readouterr()
+        assert "outside 1..10" in captured.err and captured.out == ""
 
 
 def test_package_exports_resolve():
     missing = [name for name in deeplin.__all__ if not hasattr(deeplin, name)]
     assert not missing
+    assert tuple(deeplin.__all__) == (
+        "CheckReport", "ConfigError", "DeepLinearNet", "DeeplinError",
+        "FactorizationResult", "IdentityBall", "NoRealRootError", "NumericError",
+        "ScenarioConfig", "ScenarioReport", "SingularInputError", "StepSchedule",
+        "TargetSpec", "TrainerConfig", "TrainingTrace", "balanced_factorization",
+        "check_commuting_normal", "check_gradient_lower_bound",
+        "check_hessian_upper_bound", "eigen_recurrence_check", "fd_gradient_check",
+        "fd_hessian_check", "full_gradient", "full_hessian", "gamma_margin",
+        "hessian_frob_norm", "load_scenario", "loss", "make_target", "op_norm",
+        "project_gamma_positive", "project_identity_ball", "random_orthogonal",
+        "read_matrix_csv", "run_gd", "run_penalty_gd", "run_power_projection",
+        "run_scenario", "run_step_and_project", "scenario_from_dict",
+        "simulate_scalar_recurrence", "singular_values", "skew",
+        "step_size_power_projection", "step_size_symmetric_target", "sweep", "sym",
+        "trace_recurrence_check", "verify_all", "write_matrix_csv", "write_trace_csv",
+    )

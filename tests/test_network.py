@@ -14,15 +14,17 @@ import pytest
 from deeplin.matcore import MAX_DIM, MAX_LAYERS
 from deeplin.network import (
     DeepLinearNet,
-    end_to_end,
     full_gradient,
     full_hessian,
     hessian_frob_norm,
-    layer_gradients,
     loss,
     prefix_suffix_products,
     product,
 )
+
+
+def identity_net(d, L):
+    return DeepLinearNet(np.tile(np.eye(d), (L, 1, 1)))
 
 
 def scalar_net():
@@ -69,9 +71,9 @@ def test_layers_are_an_owned_read_only_stack():
 
 
 def test_identity_factories():
-    net = DeepLinearNet.identity(3, 4)
+    net = identity_net(3, 4)
     assert net.d == 3 and net.L == 4
-    np.testing.assert_array_equal(end_to_end(net), np.eye(3))
+    np.testing.assert_array_equal(product(net.layers), np.eye(3))
 
 
 def test_application_order():
@@ -79,7 +81,7 @@ def test_application_order():
     a = np.array([[0.0, 1.0], [0.0, 0.0]])
     b = np.array([[1.0, 0.0], [0.0, 0.0]])
     net = DeepLinearNet((a, b))
-    np.testing.assert_array_equal(end_to_end(net), b @ a)
+    np.testing.assert_array_equal(product(net.layers), b @ a)
 
 
 @pytest.mark.parametrize("d, L", [(3, 1), (1, 4), (2, 7), (4, 64)])
@@ -87,7 +89,7 @@ def test_product_is_the_last_prefix_product(d, L):
     net, _ = random_net(np.random.default_rng(20 + L), d, L)
     last = prefix_suffix_products(net.layers)[0][-1]
     assert product(net.layers).tobytes() == last.tobytes()
-    assert end_to_end(net).tobytes() == last.tobytes()
+    assert product(net.layers).tobytes() == last.tobytes()
 
 
 def _matmul_chain(layers):
@@ -137,7 +139,8 @@ def test_cached_formulas_are_bitwise_the_uncached_ones(d, L):
     pre, suf = _matmul_chain(net.layers)
     r = product(net.layers) - phi
     assert loss(net, phi) == 0.5 * float(np.sum(r * r))
-    assert full_gradient(net, phi).tobytes() == layer_gradients(pre, suf, pre[L] - phi).tobytes()
+    grads = suf[1:].transpose(0, 2, 1) @ (pre[L] - phi) @ pre[:-1].transpose(0, 2, 1)
+    assert full_gradient(net, phi).tobytes() == grads.tobytes()
     # the bound's norm from a net holding the oracle's products in its cache
     oracle = DeepLinearNet(net.layers)
     oracle.__dict__["products"] = (pre, suf)
@@ -158,14 +161,14 @@ def test_loss_frozen_values():
     net = scalar_net()
     phi = np.array([[5.0]])
     assert loss(net, phi) == pytest.approx(180.5)
-    assert (end_to_end(net) - phi)[0, 0] == pytest.approx(19.0)
+    assert (product(net.layers) - phi)[0, 0] == pytest.approx(19.0)
     # identity target at identity layers has zero loss
-    idn = DeepLinearNet.identity(3, 2)
+    idn = identity_net(3, 2)
     assert loss(idn, np.eye(3)) == 0.0
-    assert loss(DeepLinearNet.identity(2, 3), np.diag([2.0, 1.0])) == 0.5
+    assert loss(identity_net(2, 3), np.diag([2.0, 1.0])) == 0.5
     # one negative target eigenvalue: residual entry 1 + 0.8
     neg = np.diag([-0.8, 1.0, 1.0])
-    assert loss(DeepLinearNet.identity(3, 4), neg) == pytest.approx(1.62)
+    assert loss(identity_net(3, 4), neg) == pytest.approx(1.62)
 
 
 def test_gradient_frozen_scalar_values():
@@ -181,7 +184,7 @@ def test_gradient_frozen_scalar_values():
 
 def test_gradient_at_identity_is_negative_residual_everywhere():
     phi = np.diag([2.0, 0.5, 1.0])
-    net = DeepLinearNet.identity(3, 4)
+    net = identity_net(3, 4)
     g = full_gradient(net, phi)
     for i in range(1, 5):
         np.testing.assert_allclose(g[i - 1], np.eye(3) - phi, atol=0.0)
@@ -251,7 +254,7 @@ def test_hessian_matches_finite_differences():
 
 def test_hessian_identity_target_identity_layers():
     # at the global minimum of the identity target the hessian is psd
-    net = DeepLinearNet.identity(2, 3)
+    net = identity_net(2, 3)
     h = full_hessian(net, np.eye(2))
     w = np.linalg.eigvalsh(h)
     assert w[0] >= -1e-12
@@ -259,7 +262,7 @@ def test_hessian_identity_target_identity_layers():
 
 def test_hessian_all_ones_at_scalar_identity():
     for L in (2, 3, 5):
-        net = DeepLinearNet.identity(1, L)
+        net = identity_net(1, L)
         h = full_hessian(net, np.array([[1.0]]))
         np.testing.assert_allclose(h, np.ones((L, L)), atol=1e-12)
 
@@ -291,7 +294,7 @@ def test_hessian_scalar_closed_form_equivalence():
 
 def test_hessian_size_cap():
     with pytest.raises(ValueError):
-        full_hessian(DeepLinearNet.identity(16, 17), np.eye(16))
+        full_hessian(identity_net(16, 17), np.eye(16))
 
 
 def test_hessian_memory_stays_bounded():

@@ -1,5 +1,6 @@
 """The runtime needs numpy only: scipy is a test-time oracle.  The
-trainers, the bound checks and the factorization run with scipy blocked."""
+trainers, the bound checks and the factorization run with scipy blocked,
+and importing the package starts no executor machinery."""
 
 import os
 import subprocess
@@ -50,12 +51,27 @@ assert "scipy" not in sys.modules
 """
 
 
-def test_runtime_runs_without_scipy(tmp_path):
+def _run(code, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", WITHOUT_SCIPY, str(tmp_path / "phi.csv")],
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def test_runtime_runs_without_scipy(tmp_path):
+    done = _run(WITHOUT_SCIPY, str(tmp_path / "phi.csv"))
     assert done.returncode == 0, done.stderr
     assert "factor 1:" in done.stdout
+
+
+def test_import_loads_no_executor_modules():
+    # the sweep's process pool and the recorder's thread pool import theirs
+    # when first made
+    done = _run(
+        "import sys, deeplin; print(sorted(m for m in sys.modules"
+        " if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

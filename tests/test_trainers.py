@@ -20,7 +20,6 @@ from deeplin.matcore import op_norm
 from deeplin.network import (
     DeepLinearNet,
     full_gradient,
-    layer_gradients,
     prefix_suffix_products,
     residual_loss,
 )
@@ -684,7 +683,8 @@ def _head_train(
             break
         eta = step_size(t, rec, loss_val)
         etas.append(eta)
-        layers = update(layers, layer_gradients(pre, suf, residual), eta)
+        grads = suf[1:].transpose(0, 2, 1) @ residual @ pre[:-1].transpose(0, 2, 1)
+        layers = update(layers, grads, eta)
         if not np.isfinite(layers).all():
             status = "diverged"
             break

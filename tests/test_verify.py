@@ -24,6 +24,10 @@ from deeplin.verify import (
 )
 
 
+def identity_net(d, L):
+    return DeepLinearNet(np.tile(np.eye(d), (L, 1, 1)))
+
+
 def small_net(seed=51, d=2, L=3):
     rng = np.random.default_rng(seed)
     net = DeepLinearNet(tuple(rng.uniform(-1, 1, (d, d)) for _ in range(L)))
@@ -85,7 +89,7 @@ def test_fd_step_validation():
 
 def test_gradient_lower_bound_tight_at_identity():
     phi = np.diag([2.0, 0.5])
-    net = DeepLinearNet.identity(2, 3)
+    net = identity_net(2, 3)
     report = check_gradient_lower_bound(net, phi)
     assert report.passed
 
@@ -103,12 +107,12 @@ def test_gradient_lower_bound_skips_vacuous_margin():
 
 
 def test_hessian_upper_bound_identity():
-    report = check_hessian_upper_bound(DeepLinearNet.identity(2, 3), 0.5 * np.eye(2))
+    report = check_hessian_upper_bound(identity_net(2, 3), 0.5 * np.eye(2))
     assert report.passed
 
 
 def test_hessian_upper_bound_skips_oversized_target():
-    report = check_hessian_upper_bound(DeepLinearNet.identity(2, 2), 50.0 * np.eye(2))
+    report = check_hessian_upper_bound(identity_net(2, 2), 50.0 * np.eye(2))
     assert report.status == "skipped"
 
 
@@ -122,7 +126,7 @@ def test_hessian_upper_bound_skips_bound_beyond_float_range():
 
 def test_fd_hessian_skips_oversized_network():
     # 17 layers of side 16 give a 4352-wide second-derivative matrix
-    report = fd_hessian_check(DeepLinearNet.identity(16, 17), 0.5 * np.eye(16))
+    report = fd_hessian_check(identity_net(16, 17), 0.5 * np.eye(16))
     assert report.status == "skipped"
     assert report.note == "second-derivative side 4352 exceeds the bound 4096"
 
@@ -132,7 +136,7 @@ def test_hessian_upper_bound_checks_oversized_network():
     # with target c I every block has X = Y = M = I and Q = (1 - c) I, so
     # ||H||^2 = L d^2 + L (L - 1) (d^2 + d^2 (1 - c)^2 + 2 d (1 - c)).
     d, L, c = 16, 17, 0.5
-    report = check_hessian_upper_bound(DeepLinearNet.identity(d, L), c * np.eye(d))
+    report = check_hessian_upper_bound(identity_net(d, L), c * np.eye(d))
     assert report.status == "pass"
     hand = math.sqrt(L * d * d + L * (L - 1) * (d * d * (1 + (1 - c) ** 2) + 2 * d * (1 - c)))
     assert report.note.startswith(f"lhs {hand:.6e} ")
