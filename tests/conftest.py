@@ -1,24 +1,32 @@
+import contextlib
+
 import pytest
 
 from deeplin import trainers
 
 
+@contextlib.contextmanager
+def forced_pool(size):
+    """Inside, the recorder gets a pool of ``size`` threads (none for 0)
+    whatever the host's CPU count, starting from no pool.  On exit the pool
+    made inside, if any, is shut down, and the pool and size from before
+    come back."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(trainers, "_pool_size", lambda: size)
+        m.setattr(trainers, "_POOL", None)
+        try:
+            yield
+        finally:
+            if trainers._POOL is not None:
+                trainers._POOL.shutdown()
+
+
 @pytest.fixture
-def recorder_pool(monkeypatch):
-    """``recorder_pool(size)`` gives the recorder a pool of ``size`` threads
-    (none for 0) whatever the host's CPU count, starting from no pool.  The
-    pool the test creates after that call is shut down after it; a test
-    that never calls it leaves the process-wide pool running."""
-    forced = []
-
-    def force(size):
-        monkeypatch.setattr(trainers, "_pool_size", lambda: size)
-        monkeypatch.setattr(trainers, "_POOL", None)
-        forced.append(size)
-
-    yield force
-    if forced and trainers._POOL is not None:
-        trainers._POOL.shutdown()
+def recorder_pool():
+    """``recorder_pool(size)`` enters ``forced_pool(size)`` until the test
+    ends; a test that never calls it leaves the process-wide pool running."""
+    with contextlib.ExitStack() as stack:
+        yield lambda size: stack.enter_context(forced_pool(size))
 
 
 @pytest.fixture

@@ -13,6 +13,7 @@ from deeplin.project import (
     project_gamma_positive,
     project_identity_ball,
 )
+from reference import svd_ball_kernel
 
 
 def per_layer_ball(stack, ball):
@@ -327,19 +328,6 @@ def test_ball_kernel_on_a_batch_matches_public_calls(d, L, radius):
 
 
 
-def svd_ball_kernel(stack, radius):
-    """The ball kernel that decides every clip from the values-only SVD,
-    kept as the oracle of the Frobenius-norm shortcut."""
-    e = stack - np.eye(stack.shape[-1])
-    clip = np.linalg.svd(e, compute_uv=False)[:, 0] > radius
-    if not np.any(clip):
-        return stack
-    out = stack.copy()
-    u, s, vt = np.linalg.svd(e[clip])
-    out[clip] = np.eye(stack.shape[-1]) + u @ (np.minimum(s, radius)[:, :, None] * vt)
-    return out
-
-
 @pytest.mark.parametrize("d", [1, 3, 16])
 @pytest.mark.parametrize("radius", [0.0, 1e-300, 1e-20, 0.3, 0.9, 7.0])
 def test_ball_kernel_norm_shortcut_matches_the_svd_decision(d, radius):
@@ -364,3 +352,4 @@ def test_ball_kernel_norm_shortcut_matches_the_svd_decision(d, radius):
         one = m[None].copy()
         assert (_ball_kernel(one, radius) is one) == (svd_ball_kernel(one, radius) is one)
         assert _ball_kernel(one, radius).tobytes() == svd_ball_kernel(one, radius).tobytes()
+

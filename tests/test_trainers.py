@@ -10,19 +10,16 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deeplin import trainers
 from deeplin.errors import ConfigError
-from deeplin.matcore import op_norm
-from deeplin.network import (
-    DeepLinearNet,
-    full_gradient,
-    prefix_suffix_products,
-    residual_loss,
-)
+from deeplin.network import DeepLinearNet, full_gradient
 from deeplin.trainers import (
     DIVERGE_LOSS,
     RUNNERS,
@@ -37,6 +34,8 @@ from deeplin.trainers import (
     step_size_power_projection,
     step_size_symmetric_target,
 )
+import reference
+from conftest import forced_pool
 from test_project import per_layer_ball
 
 
@@ -396,46 +395,6 @@ def test_spectra_recording():
     assert np.abs(np.imag(trace.eigenvalues[-1])).max() == 0.0
 
 
-class PerIterateRecorder:
-    """The recorder before chunking, kept as the oracle of the chunked one:
-    two values-only SVD calls per iterate, one ``eigvals`` call with
-    spectra, and the running maxima as Python floats.  ``repeat(k)`` adds
-    the last iterate k more times, recomputing every statistic."""
-
-    def __init__(self, phi, cfg):
-        self.cfg = cfg
-        self.eye = np.eye(cfg.d)
-        self.radius = 0.0
-        self.u_stat = op_norm(phi) ** (1.0 / cfg.L)
-        self.rows = []
-        self.spectra = []
-        self.layers = []
-
-    def add(self, layers, prod, loss_val, loss_half):
-        sv = np.linalg.svd(layers, compute_uv=False)
-        dev = np.linalg.svd(layers - self.eye, compute_uv=False)
-        min_sv, max_norm = float(sv.min()), float(sv.max())
-        self.radius = max(self.radius, float(dev.max()))
-        self.u_stat = max(self.u_stat, max_norm)
-        self.rows.append((
-            loss_val, np.nan if loss_half is None else loss_half,
-            self.radius, min_sv, max_norm, self.u_stat,
-        ))
-        if self.cfg.record_spectra:
-            self.spectra.append(np.sort_complex(np.linalg.eigvals(prod)))
-        if self.cfg.record_layers:
-            self.layers.append(layers.copy())
-        self.last = (layers.copy(), None if prod is None else prod.copy(), loss_val, loss_half)
-
-    def repeat(self, k):
-        for _ in range(k):
-            self.add(*self.last)
-
-    def columns(self):
-        stats = np.array(self.rows, dtype=float).reshape(-1, 6).T.copy()
-        return (*stats, *(np.array(c) if c else None for c in (self.spectra, self.layers)))
-
-
 def assert_traces_bitwise_equal(trace, ref):
     for f in dataclasses.fields(TrainingTrace):
         a, b = getattr(trace, f.name), getattr(ref, f.name)
@@ -445,6 +404,83 @@ def assert_traces_bitwise_equal(trace, ref):
             assert a.tobytes() == b.tobytes(), f.name
         else:
             assert a == b, f.name
+
+
+def run_against_reference(phi, cfg, chunk=None):
+    """The run, asserted bitwise equal to the reference loop's; with
+    ``chunk``, the recorder takes chunks of that many iterates."""
+    with pytest.MonkeyPatch.context() as m, warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # thin margins and overflow
+        if chunk:
+            m.setattr(trainers, "_CHUNK_ENTRIES", chunk * cfg.L * cfg.d**2)
+        trace = RUNNERS[cfg.algorithm](phi, cfg)
+        assert_traces_bitwise_equal(trace, reference.run(phi, cfg))
+    return trace
+
+
+# mostly ordinary step sizes; sometimes 0 (the step is a no-op) or one
+# that diverges on the loss or in the update
+ETAS = st.sampled_from([0.01, 0.03, 0.05, 0.1, 0.2, 0.0, 1.0, 1e308])
+
+
+@st.composite
+def runs(draw):
+    """A target, a config, a chunk length and a pool size.  Besides random
+    targets, it draws criterion 9's diag(-0.8, 1, 1), on which penalty and
+    ball runs stall, and the kappa = 1 penalty run that stays at I while
+    its step is 0, with a sequence that may change after that."""
+    algorithm = draw(st.sampled_from(list(RUNNERS)))
+    shapes = ["random", "criterion-9"] + ["kappa-one"] * (algorithm == "penalty_gd")
+    shape = draw(st.sampled_from(shapes))
+    d = 3 if shape == "criterion-9" else draw(st.integers(1, 4))
+    if shape == "random":
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        phi = np.eye(d) + draw(st.sampled_from([0.2, 0.6, 1.5])) * rng.standard_normal((d, d))
+    else:
+        phi = np.diag([-0.8, 1.0, 1.0] if shape == "criterion-9" else np.linspace(0.5, 2.0, d))
+    extra = {}
+    if algorithm == "penalty_gd":
+        kappas = [1.0] if shape == "kappa-one" else [0.1, 0.3, 0.5, 0.9, 0.0, 1.0]
+        extra = dict(kappa=draw(st.sampled_from(kappas)), penalty_canonical=draw(st.booleans()))
+    elif algorithm == "step_and_project":
+        psi = draw(st.sampled_from([0.0, 0.3, 0.9, 3.0]))
+        extra = dict(gamma=draw(st.floats(0.5, 1.5)), psi=psi)
+    elif algorithm == "power_projection":
+        extra = dict(gamma=draw(st.sampled_from([0.1, 0.5])))
+    if shape == "kappa-one":
+        schedule = StepSchedule("sequence", etas=(0.0,) * draw(st.integers(1, 8)) + (draw(ETAS),))
+    else:
+        modes = ["constant", "sequence"] + {"gd": ["admissible", "default"],
+                                            "power_projection": ["default"]}.get(algorithm, [])
+        etas = tuple(draw(st.lists(ETAS, min_size=1, max_size=4)))
+        schedule = StepSchedule(draw(st.sampled_from(modes)), etas[0], etas)
+    max_iters = draw(st.integers(0, 60))
+    cfg = TrainerConfig(
+        algorithm, d, draw(st.integers(1, 6)), schedule, max_iters=max_iters,
+        epsilon=draw(st.sampled_from([0.0, 0.0, 0.0, 1e-3, 0.05])),
+        record_spectra=draw(st.booleans()), record_layers=draw(st.booleans()), **extra,
+    )
+    return phi, cfg, draw(st.integers(1, max_iters + 1)), draw(st.integers(0, 3))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(runs())
+def test_every_run_matches_the_reference_loop(run):
+    phi, cfg, chunk, pool = run
+    folded, peek = [], trainers._Recorder._peek
+
+    def spy(rec, n):
+        folded.append(max(0, n - rec.seen))
+        peek(rec, n)
+
+    with forced_pool(pool), pytest.MonkeyPatch.context() as m:
+        m.setattr(trainers._Recorder, "_peek", spy)
+        trace = run_against_reference(phi, cfg, chunk)
+    # the radius reads fold each row in once, and the snapshots are copies,
+    # not views of the loop's two buffers
+    assert sum(folded) <= len(trace.losses)
+    if trace.layers is not None:
+        assert not any(np.shares_memory(trace.layers, layer) for layer in trace.final_layers)
 
 
 # d=2, L=3 runs with CHUNK iterates per chunk; the target has complex
@@ -457,68 +493,35 @@ ALGORITHM_ARGS = {
     "step_and_project": dict(gamma=1.0, psi=0.3),
     "power_projection": dict(gamma=0.5),
 }
-CHUNKED_CASES = [
-    pytest.param(alg, rows, spectra, layers,
-                 id=f"{alg}-rows{rows}-spectra{int(spectra)}-layers{int(layers)}")
-    for alg in ALGORITHM_ARGS
-    for rows in (CHUNK - 1, CHUNK, CHUNK + 1)
-    for spectra in (False, True)
-    for layers in (False, True)
-]
 
 
-def run_with_both_recorders(monkeypatch, phi, cfg, chunk):
-    runner = RUNNERS[cfg.algorithm]
-    monkeypatch.setattr(trainers, "_CHUNK_ENTRIES", chunk * cfg.L * cfg.d**2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        trace = runner(phi, cfg)
-        with monkeypatch.context() as m:
-            m.setattr(trainers, "_Recorder", PerIterateRecorder)
-            ref = runner(phi, cfg)
-    assert_traces_bitwise_equal(trace, ref)
-    return trace
-
-
-@pytest.mark.parametrize("algorithm, rows, spectra, layers", CHUNKED_CASES)
-def test_chunked_recorder_matches_per_iterate_reference(
-    monkeypatch, algorithm, rows, spectra, layers
-):
-    cfg = TrainerConfig(
-        algorithm, 2, 3, StepSchedule("constant", 0.05), max_iters=rows - 1,
-        record_spectra=spectra, record_layers=layers, **ALGORITHM_ARGS[algorithm],
-    )
-    trace = run_with_both_recorders(monkeypatch, TARGET, cfg, CHUNK)
-    assert len(trace.losses) == rows
-
-
-def test_chunked_recorder_stops_mid_chunk(monkeypatch):
+def test_chunked_recorder_stops_mid_chunk():
     both = dict(record_spectra=True, record_layers=True)
     # converged on epsilon at row 12, two rows into the third chunk
     base = TrainerConfig("gd", 2, 3, StepSchedule("constant", 0.05), max_iters=30, **both)
     eps = run_gd(TARGET, base).losses[12]
-    trace = run_with_both_recorders(
-        monkeypatch, TARGET, dataclasses.replace(base, epsilon=eps), CHUNK)
+    trace = run_against_reference(TARGET, dataclasses.replace(base, epsilon=eps), CHUNK)
     assert (trace.status, len(trace.losses)) == ("converged", 13)
     # diverged on the loss after 4 rows, and on a non-finite step after 1
     for eta, rows in ((0.4, 4), (1e308, 1)):
         cfg = TrainerConfig("gd", 1, 3, StepSchedule("constant", eta), max_iters=50, **both)
-        trace = run_with_both_recorders(monkeypatch, np.array([[3.0]]), cfg, 3)
+        trace = run_against_reference(np.array([[3.0]]), cfg, 3)
         assert (trace.status, len(trace.losses)) == ("diverged", rows)
 
 
 @pytest.mark.parametrize("mode", ["admissible", "default"])
-def test_chunked_recorder_radius_feeds_admissible_steps(monkeypatch, mode):
+def test_chunked_recorder_radius_feeds_admissible_steps(mode):
     # the admissible bound reads the running radius every step, so the
     # recorder flushes every step; the etas must not move either.  With
     # ||phi||_2 < 1 the bound depends on the radius from the first step.
     cfg = TrainerConfig("gd", 2, 3, StepSchedule(mode), max_iters=3 * CHUNK + 2,
                         record_spectra=True, record_layers=True)
-    trace = run_with_both_recorders(monkeypatch, TARGET / 2, cfg, CHUNK)
+    trace = run_against_reference(TARGET / 2, cfg, CHUNK)
     assert len(trace.etas) == 3 * CHUNK + 2
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHM_ARGS)
-def test_pooled_recorder_backlog_beyond_the_ring(monkeypatch, recorder_pool, algorithm):
+def test_pooled_recorder_backlog_beyond_the_ring(recorder_pool, algorithm):
     # 15 full chunks of 2 rows against a ring of 4 buffers, so the loop
     # waits on the oldest job again and again
     recorder_pool(2)
@@ -526,39 +529,39 @@ def test_pooled_recorder_backlog_beyond_the_ring(monkeypatch, recorder_pool, alg
         algorithm, 2, 3, StepSchedule("constant", 0.05), max_iters=29,
         record_spectra=True, record_layers=True, **ALGORITHM_ARGS[algorithm],
     )
-    trace = run_with_both_recorders(monkeypatch, TARGET, cfg, 2)
+    trace = run_against_reference(TARGET, cfg, 2)
     assert len(trace.losses) == 30
     assert trainers._POOL is not None
 
 
-def test_pooled_recorder_stops_mid_chunk(monkeypatch, recorder_pool):
+def test_pooled_recorder_stops_mid_chunk(recorder_pool):
     recorder_pool(2)
-    test_chunked_recorder_stops_mid_chunk(monkeypatch)
+    test_chunked_recorder_stops_mid_chunk()
     assert trainers._POOL is not None
 
 
 @pytest.mark.parametrize("chunk", [1, CHUNK])
-def test_pooled_recorder_radius_feeds_admissible_steps(monkeypatch, recorder_pool, chunk):
+def test_pooled_recorder_radius_feeds_admissible_steps(recorder_pool, chunk):
     # full chunks of any length go to the pool while each radius read folds
     # in only the rows added since the last one
     recorder_pool(2)
     cfg = TrainerConfig("gd", 2, 3, StepSchedule("admissible"), max_iters=3 * CHUNK + 2,
                         record_spectra=True, record_layers=True)
-    run_with_both_recorders(monkeypatch, TARGET / 2, cfg, chunk)
+    run_against_reference(TARGET / 2, cfg, chunk)
     assert trainers._POOL is not None
 
 
-def test_inline_recorder_radius_feeds_admissible_steps(monkeypatch, recorder_pool):
+def test_inline_recorder_radius_feeds_admissible_steps(recorder_pool):
     # without a pool each full chunk is flushed inline; the radius reads
     # between flushes still fold in only the rows added since
     recorder_pool(0)
     cfg = TrainerConfig("gd", 2, 3, StepSchedule("admissible"), max_iters=3 * CHUNK + 2,
                         record_spectra=True, record_layers=True)
-    run_with_both_recorders(monkeypatch, TARGET / 2, cfg, CHUNK)
+    run_against_reference(TARGET / 2, cfg, CHUNK)
     assert trainers._POOL is None
 
 
-def test_pooled_recorder_under_a_short_switch_interval(monkeypatch, recorder_pool):
+def test_pooled_recorder_under_a_short_switch_interval(recorder_pool):
     # more threads than this host may have CPUs and a switch every
     # microsecond: a buffer rewritten before its job read it, or a job
     # taken up out of order, would change the trace
@@ -568,12 +571,12 @@ def test_pooled_recorder_under_a_short_switch_interval(monkeypatch, recorder_poo
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        run_with_both_recorders(monkeypatch, TARGET, cfg, 1)
+        run_against_reference(TARGET, cfg, 1)
     finally:
         sys.setswitchinterval(interval)
 
 
-def test_run_that_fills_no_chunk_starts_no_pool(monkeypatch, recorder_pool):
+def test_run_that_fills_no_chunk_starts_no_pool(recorder_pool):
     # a final partial chunk of any size is taken on the caller's thread, so
     # such a run's time does not depend on a pool thread being scheduled
     recorder_pool(2)
@@ -584,7 +587,7 @@ def test_run_that_fills_no_chunk_starts_no_pool(monkeypatch, recorder_pool):
                 algorithm, 2, 3, StepSchedule("constant", 0.05), max_iters=rows - 1,
                 record_spectra=True, record_layers=True, **ALGORITHM_ARGS[algorithm],
             )
-            trace = run_with_both_recorders(monkeypatch, TARGET, cfg, chunk)
+            trace = run_against_reference(TARGET, cfg, chunk)
             assert len(trace.losses) == rows
     assert trainers._POOL is None
     assert threading.active_count() == threads
@@ -596,7 +599,7 @@ def _pooled_run(monkeypatch):
     monkeypatch.setattr(trainers, "_pool_size", lambda: 2)
     cfg = TrainerConfig("gd", 2, 3, StepSchedule("constant", 0.05), max_iters=3 * CHUNK,
                         record_spectra=True, record_layers=True)
-    run_with_both_recorders(monkeypatch, TARGET, cfg, CHUNK)
+    run_against_reference(TARGET, cfg, CHUNK)
     assert trainers._POOL is not None
 
 
@@ -622,7 +625,7 @@ def test_one_cpu_takes_every_chunk_inline(monkeypatch):
     threads = threading.active_count()
     cfg = TrainerConfig("gd", 2, 3, StepSchedule("constant", 0.05), max_iters=4 * CHUNK,
                         record_spectra=True, record_layers=True)
-    run_with_both_recorders(monkeypatch, TARGET, cfg, CHUNK)
+    run_against_reference(TARGET, cfg, CHUNK)
     assert trainers._POOL is None
     assert threading.active_count() == threads
 
@@ -647,132 +650,26 @@ def test_recorded_layers_are_held_once():
 # --- the loop's workspace ----------------------------------------------------
 
 
-def _head_plain_step(layers, grads, eta):
-    return layers - eta * grads
-
-
-def _head_train(
-    phi, cfg: TrainerConfig, scale=1.0, update=_head_plain_step, settle=None, prod=None
-):
-    """The training loop before its workspace, kept as its oracle: fresh
-    arrays every step, the layers never modified in place."""
-    step_size = trainers._step_size(phi, cfg)
-    rec = trainers._Recorder(phi, cfg)
-    layers = np.tile(scale * np.eye(cfg.d), (cfg.L, 1, 1))
-    etas: list = []
-    loss_half = None
-    last = None
-    status = "budget"
-    for t in range(cfg.max_iters + 1):
-        pre, suf = prefix_suffix_products(layers)
-        residual = pre[-1] - phi
-        if prod is None:
-            prod, loss_residual = pre[-1], residual
-        else:
-            loss_residual = prod - phi
-        loss_val = residual_loss(loss_residual)
-        if not np.isfinite(loss_val) or loss_val > DIVERGE_LOSS:
-            status = "diverged"
-            break
-        rec.add(layers, prod, loss_val, loss_half)
-        last = layers
-        if loss_val <= cfg.epsilon:
-            status = "converged"
-            break
-        if t == cfg.max_iters:
-            break
-        eta = step_size(t, rec, loss_val)
-        etas.append(eta)
-        grads = suf[1:].transpose(0, 2, 1) @ residual @ pre[:-1].transpose(0, 2, 1)
-        layers = update(layers, grads, eta)
-        if not np.isfinite(layers).all():
-            status = "diverged"
-            break
-        layers, prod, loss_half = settle(layers) if settle else (layers, None, None)
-    return TrainingTrace(
-        cfg.algorithm, cfg.d, cfg.L, *rec.columns(), etas, status,
-        () if last is None else tuple(last), cfg.gamma,
-    )
-
-
-def _head_update(cfg):
-    """The allocating update rules the oracle loop steps with."""
-    if cfg.algorithm != "penalty_gd":
-        return _head_plain_step
-    eye, kappa = np.eye(cfg.d), cfg.kappa
-
-    def update(layers, grads, eta):
-        if cfg.penalty_canonical:
-            return (1.0 - kappa) * layers + kappa * eye - eta * grads
-        return layers - eta * (grads + kappa * (layers - eye))
-
-    return update
-
-
-def run_with_both_loops(monkeypatch, phi, cfg):
-    """The run with the workspace loop and with the oracle loop, which gets
-    the same settle step and start but the allocating update rule."""
-    runner = RUNNERS[cfg.algorithm]
-
-    def oracle(phi, cfg, scale=1.0, update=None, settle=None, prod=None):
-        return _head_train(phi, cfg, scale, _head_update(cfg), settle, prod)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        trace = runner(phi, cfg)
-        with monkeypatch.context() as m:
-            m.setattr(trainers, "_train", oracle)
-            ref = runner(phi, cfg)
-    assert_traces_bitwise_equal(trace, ref)
-    return trace
-
-
-PHI3 = np.array([[1.3, -0.6, 0.1], [0.5, 0.9, -0.2], [0.0, 0.3, 1.1]])
-WORKSPACE_CASES = {
-    "gd": dict(algorithm="gd"),
-    "gd-admissible": dict(algorithm="gd", schedule=StepSchedule("admissible")),
-    "gd-default": dict(algorithm="gd", schedule=StepSchedule("default")),
-    "penalty-canonical": dict(algorithm="penalty_gd", kappa=0.2),
-    "penalty-descent": dict(algorithm="penalty_gd", kappa=0.2, penalty_canonical=False),
-    "step_and_project": dict(algorithm="step_and_project", gamma=1.0, psi=0.2),
-    "power_projection": dict(algorithm="power_projection", gamma=0.5),
-    "power_projection-default": dict(algorithm="power_projection", gamma=0.5,
-                                     schedule=StepSchedule("default")),
-}
-
-
-@pytest.mark.parametrize("case", WORKSPACE_CASES)
-@pytest.mark.parametrize("L", [1, 4])
-def test_workspace_loop_matches_allocating_loop(monkeypatch, case, L):
-    kw = {"schedule": StepSchedule("constant", 0.05), **WORKSPACE_CASES[case]}
-    cfg = TrainerConfig(d=3, L=L, max_iters=40, record_spectra=True, record_layers=True, **kw)
-    trace = run_with_both_loops(monkeypatch, PHI3, cfg)
-    assert len(trace.losses) == 41
-    # the snapshots are copies, not views of the loop's two buffers
-    for m in trace.final_layers:
-        assert not np.shares_memory(trace.layers, m)
-    np.testing.assert_array_equal(trace.layers[-1], np.stack(trace.final_layers))
-
-
 @pytest.mark.parametrize("algorithm, extra, eta", DIVERGING)
-def test_workspace_loop_diverges_like_allocating_loop(monkeypatch, algorithm, extra, eta):
+def test_workspace_loop_diverges_like_allocating_loop(algorithm, extra, eta):
     # eta 1 ends on the loss, eta 1e308 on a non-finite update (or, for the
     # power projection, a non-finite product); either way the last finite
     # iterate survives in the buffer the failed step did not write
     cfg = TrainerConfig(algorithm, 1, 3, StepSchedule("constant", eta), max_iters=50,
                         record_layers=True, **extra)
-    trace = run_with_both_loops(monkeypatch, np.array([[3.0]]), cfg)
+    trace = run_against_reference(np.array([[3.0]]), cfg)
     assert trace.status == "diverged"
     np.testing.assert_array_equal(trace.layers[-1], np.stack(trace.final_layers))
 
 
-def test_workspace_loop_diverges_in_the_update_mid_run(monkeypatch):
+def test_workspace_loop_diverges_in_the_update_mid_run():
     # finite steps, then one that overflows the layers: the schedule jumps;
     # a step that diverges in the update has its eta recorded
     etas = (0.01,) * 7 + (1e308,)
     for algorithm, extra in (("gd", {}), ("step_and_project", dict(gamma=1.0, psi=0.5))):
         cfg = TrainerConfig(algorithm, 2, 3, StepSchedule("sequence", etas=etas),
                             max_iters=20, record_layers=True, **extra)
-        trace = run_with_both_loops(monkeypatch, 10.0 * TARGET, cfg)
+        trace = run_against_reference(10.0 * TARGET, cfg)
         assert (trace.status, len(trace.losses), len(trace.etas)) == ("diverged", 8, 8)
         np.testing.assert_array_equal(trace.layers[-1], np.stack(trace.final_layers))
 
@@ -799,76 +696,31 @@ def test_non_finite_run_parameters_are_config_errors(fields):
 
 # --- the fixed-point exit ----------------------------------------------------
 
-NEG_EIG = np.diag([-0.8, 1.0, 1.0])
-# runs that reach an iterate their step maps to itself bit for bit
-STALL_CASES = {
-    "ball-criterion-9": (NEG_EIG, dict(
-        algorithm="step_and_project", d=3, L=3, gamma=1.0, psi=0.9,
-        schedule=StepSchedule("constant", 0.2), max_iters=80)),
-    "gd-spd": (np.diag([0.5, 2.0]), dict(
-        algorithm="gd", d=2, L=2, schedule=StepSchedule("constant", 0.1), max_iters=400)),
-    "penalty-kappa-one-eta-zero": (np.diag([0.5, 2.0]), dict(
-        algorithm="penalty_gd", d=2, L=2, kappa=1.0,
-        schedule=StepSchedule("constant", 0.0), max_iters=10)),
-    "gd-admissible": (np.array([[1.1]]), dict(
-        algorithm="gd", d=1, L=2, schedule=StepSchedule("admissible"), max_iters=120)),
-    "gd-default": (np.array([[1.1]]), dict(
-        algorithm="gd", d=1, L=2, schedule=StepSchedule("default"), max_iters=120)),
-    "power_projection": (np.diag([0.8, 1.5]), dict(
-        algorithm="power_projection", d=2, L=2, gamma=0.5,
-        schedule=StepSchedule("constant", 0.1), max_iters=250)),
-}
-
-
-def run_stall_case(request, monkeypatch, exits, phi, cfg, pooled):
-    """The run against the loop that never exits early, and against the
-    per-iterate recorder; pooled, with 3-row chunks on a 2-thread pool.
-    Returns the exit's t."""
-    chunk = 3 if pooled else cfg.max_iters + 1
-    if pooled:
-        request.getfixturevalue("recorder_pool")(2)
-    monkeypatch.setattr(trainers, "_CHUNK_ENTRIES", chunk * cfg.L * cfg.d**2)
-    trace = run_with_both_loops(monkeypatch, phi, cfg)
-    assert len(exits) == 1, "the run should stop at its fixed point"
-    run_with_both_recorders(monkeypatch, phi, cfg, chunk)
-    k = exits[0]
-    assert trace.status == "budget" and len(trace.losses) == cfg.max_iters + 1
-    assert len(trace.etas) == cfg.max_iters
-    np.testing.assert_array_equal(trace.layers[-1], np.stack(trace.final_layers))
-    # the repeated rows really are copies of the exit's row
-    assert np.unique(trace.losses[-k - 1:]).size == 1
-    if pooled:
-        assert trainers._POOL is not None
-    return cfg.max_iters - k
-
 
 @pytest.mark.parametrize("pooled", [False, True], ids=["inline", "pooled"])
-@pytest.mark.parametrize("case", STALL_CASES)
-def test_fixed_point_exit_matches_the_full_run(request, monkeypatch, exits, case, pooled):
-    phi, kw = STALL_CASES[case]
-    cfg = TrainerConfig(record_spectra=True, record_layers=True, **kw)
-    run_stall_case(request, monkeypatch, exits, phi, cfg, pooled)
-
-
-@pytest.mark.parametrize("pooled", [False, True], ids=["inline", "pooled"])
-def test_fixed_point_exit_on_the_last_step(request, monkeypatch, exits, pooled):
-    phi, kw = STALL_CASES["ball-criterion-9"]
-    cfg = TrainerConfig(record_spectra=True, record_layers=True, **kw)
-    RUNNERS[cfg.algorithm](phi, cfg)
+def test_fixed_point_exit_on_the_last_step(recorder_pool, exits, pooled):
+    # criterion 9's ball run reaches an iterate its step maps to itself bit
+    # for bit and stops there; with a budget one step past that iterate it
+    # stops there too.  Pooled, on 3-row chunks and a 2-thread pool.
+    cfg = TrainerConfig("step_and_project", 3, 3, StepSchedule("constant", 0.2), gamma=1.0,
+                        psi=0.9, max_iters=80, record_spectra=True, record_layers=True)
+    phi, chunk = np.diag([-0.8, 1.0, 1.0]), 3 if pooled else None
+    recorder_pool(2 if pooled else 0)
+    run_against_reference(phi, cfg, chunk)
     t = cfg.max_iters - exits.pop()
-    last = dataclasses.replace(cfg, max_iters=t + 1)
-    assert run_stall_case(request, monkeypatch, exits, phi, last, pooled) == t
-    assert exits == [1, 1]
+    trace = run_against_reference(phi, dataclasses.replace(cfg, max_iters=t + 1), chunk)
+    assert exits == [1] and trace.losses[-1] == trace.losses[-2]
+    assert (trainers._POOL is not None) == pooled
 
 
-def test_fixed_point_exit_waits_for_the_schedule(monkeypatch, exits):
+def test_fixed_point_exit_waits_for_the_schedule(exits):
     # with kappa = 1 and eta = 0 every iterate is I.  A sequence that is
     # still to change must not exit, nor may the step onto its last entry
     # while it differs from the step before.
     for etas in ((0.0,) * 5 + (0.05,), (0.0, 0.05)):
         cfg = TrainerConfig("penalty_gd", 2, 2, StepSchedule("sequence", etas=etas),
                             kappa=1.0, max_iters=12, record_spectra=True, record_layers=True)
-        trace = run_with_both_loops(monkeypatch, np.diag([0.5, 2.0]), cfg)
+        trace = run_against_reference(np.diag([0.5, 2.0]), cfg)
         steady = len(etas) - 1
         assert trace.losses[steady + 1] != trace.losses[steady]
         assert all(cfg.max_iters - k > steady for k in exits)
