@@ -71,7 +71,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    criteria = _parse_criteria(args.criteria) if args.criteria else None
+    criteria = None if args.criteria is None else _parse_criteria(args.criteria)
     reports = lab.verify_all(criteria=criteria, output_dir=args.output)
     for report in reports:
         flag = "PASS" if report.status == "pass" else "FAIL"

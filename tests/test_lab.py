@@ -878,7 +878,7 @@ def test_cli_factor_out_of_range_is_a_config_error(tmp_path, capsys, side, layer
     assert message in capsys.readouterr().err
 
 
-def test_cli_verify_subset(tmp_path, capsys):
+def test_cli_verify_subset(tmp_path, monkeypatch, capsys):
     assert cli.main(["verify", "--criteria", "7", "--output", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "[PASS] 07-balanced-factorization" in out
@@ -888,6 +888,12 @@ def test_cli_verify_subset(tmp_path, capsys):
         assert cli.main(["verify", "--criteria", criteria]) == 2
         captured = capsys.readouterr()
         assert "outside 1..10" in captured.err and captured.out == ""
+    # "" and "," select no criterion, unlike leaving --criteria out
+    calls = []
+    monkeypatch.setattr(lab, "verify_all", lambda criteria, output_dir: calls.append(criteria) or [])
+    for args in (["--criteria", ""], ["--criteria", ","], []):
+        assert cli.main(["verify", *args]) == 0
+    assert calls == [[], [], None]
 
 
 def test_package_exports_resolve():
