@@ -73,7 +73,8 @@ def project_identity_ball(a, ball: IdentityBall) -> np.ndarray:
     1 + radius]; the result then commutes with the input.  Feasible
     matrices are returned unchanged.
     """
-    stack = as_stack(a) if np.ndim(a) == 3 else as_mat(a)[None]
+    one = np.ndim(a) != 3
+    stack = as_mat(a)[None] if one else as_stack(a)
     if ball.psd_constrained:
         if not np.all(is_symmetric(stack)):
             raise ValueError("psd-constrained projection requires symmetric input")
@@ -89,7 +90,7 @@ def project_identity_ball(a, ball: IdentityBall) -> np.ndarray:
         out = _ball_kernel(stack, ball.radius)
         if out is stack:
             out = stack.copy()
-    return out if np.ndim(a) == 3 else out[0]
+    return out[0] if one else out
 
 
 def _ball_kernel(stack: np.ndarray, radius: float) -> np.ndarray:
@@ -97,19 +98,24 @@ def _ball_kernel(stack: np.ndarray, radius: float) -> np.ndarray:
     unchecked: ``stack`` itself when no matrix clips, else a copy with the
     clipping matrices replaced.
 
-    Since ||A - I||_2 <= ||A - I||_F, only matrices with a Frobenius norm
-    above radius (1 - 1e-10) get the values-only SVD that decides the clip.
-    The computed norm and the computed largest singular value are each
-    within a few hundred ulps of their exact values at d <= 16, far inside
-    that margin, so no matrix below it could clip; the rest go through the
-    same LAPACK call on the same bytes, and every decision is the SVD's.
-    Below radius 1e-100 the squares in the norm may underflow, so there
-    every matrix gets the SVD.
+    Since ||A - I||_2 <= ||A - I||_F, only matrices whose squared Frobenius
+    norm (one ``einsum`` per matrix) exceeds (radius (1 - 1e-10))^2 get the
+    values-only SVD that decides the clip.  The computed sum of squares and
+    the computed largest singular value are each within a few hundred ulps
+    of their exact values at d <= 16, far inside that margin, so no matrix
+    below it could clip; the rest go through the same LAPACK call on the
+    same bytes, and every decision is the SVD's.  A sum of squares that
+    overflows is inf and gets the SVD too.  Outside radius [1e-100, 1e100]
+    the squares may underflow and the threshold's square may overflow, so
+    there every matrix gets the SVD.
     """
     eye_d = eye(stack.shape[-1])
     e = stack - eye_d
-    clip = np.linalg.norm(e, axis=(1, 2)) > radius * (1.0 - 1e-10)
-    if radius < 1e-100 or clip.all():
+    if 1e-100 <= radius <= 1e100:
+        clip = np.einsum("kab,kab->k", e, e) > (radius * (1.0 - 1e-10)) ** 2
+    else:
+        clip = np.ones(len(e), dtype=bool)
+    if clip.all():
         clip = singular_values(e)[:, 0] > radius
     elif clip.any():
         clip[clip] = singular_values(e[clip])[:, 0] > radius

@@ -353,3 +353,10 @@ def test_ball_kernel_norm_shortcut_matches_the_svd_decision(d, radius):
         assert (_ball_kernel(one, radius) is one) == (svd_ball_kernel(one, radius) is one)
         assert _ball_kernel(one, radius).tobytes() == svd_ball_kernel(one, radius).tobytes()
 
+
+@pytest.mark.parametrize("radius", [1e160, 1e200])
+def test_ball_kernel_shortcut_where_squares_overflow(radius):
+    # deviations whose squares, or the threshold's, overflow to inf
+    mats = [np.eye(3) + s * radius * np.diag([1.0, -0.5, 0.25]) for s in (1e-10, 0.5, 2.0)]
+    stack = np.stack(mats + [np.eye(3) + 1e-40 * radius * np.ones((3, 3))])
+    assert _ball_kernel(stack, radius).tobytes() == svd_ball_kernel(stack, radius).tobytes()
