@@ -71,11 +71,12 @@ def _settle(cfg, phi, stepped):
     half = np.eye(cfg.d)
     for m in stepped:
         half = m @ half
+    loss_half = _loss(half - phi)
     projected = project_gamma_positive(half, cfg.gamma) if np.isfinite(half).all() else half
     if not _loss(projected - phi) <= DIVERGE_LOSS:
-        return stepped, projected, _loss(half - phi)
+        return stepped, projected, loss_half
     # factors are in product order; layers apply in reversed order
-    return balanced_factorization(projected, cfg.L).factors[::-1], projected, _loss(half - phi)
+    return balanced_factorization(projected, cfg.L).factors[::-1], projected, loss_half
 
 
 def run(phi, cfg: TrainerConfig) -> TrainingTrace:
