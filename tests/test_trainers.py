@@ -495,6 +495,27 @@ ALGORITHM_ARGS = {
 }
 
 
+CHUNKED_CASES = [
+    pytest.param(alg, rows, spectra, layers,
+                 id=f"{alg}-rows{rows}-spectra{int(spectra)}-layers{int(layers)}")
+    for alg in ALGORITHM_ARGS
+    for rows in (CHUNK - 1, CHUNK, CHUNK + 1)
+    for spectra in (False, True)
+    for layers in (False, True)
+]
+
+
+@pytest.mark.parametrize("algorithm, rows, spectra, layers", CHUNKED_CASES)
+def test_chunked_recorder_matches_per_iterate_reference(algorithm, rows, spectra, layers):
+    # one row short of a chunk, a full chunk, and one row into the next
+    cfg = TrainerConfig(
+        algorithm, 2, 3, StepSchedule("constant", 0.05), max_iters=rows - 1,
+        record_spectra=spectra, record_layers=layers, **ALGORITHM_ARGS[algorithm],
+    )
+    trace = run_against_reference(TARGET, cfg, CHUNK)
+    assert len(trace.losses) == rows
+
+
 def test_chunked_recorder_stops_mid_chunk():
     both = dict(record_spectra=True, record_layers=True)
     # converged on epsilon at row 12, two rows into the third chunk
@@ -650,6 +671,33 @@ def test_recorded_layers_are_held_once():
 # --- the loop's workspace ----------------------------------------------------
 
 
+PHI3 = np.array([[1.3, -0.6, 0.1], [0.5, 0.9, -0.2], [0.0, 0.3, 1.1]])
+WORKSPACE_CASES = {
+    "gd": dict(algorithm="gd"),
+    "gd-admissible": dict(algorithm="gd", schedule=StepSchedule("admissible")),
+    "gd-default": dict(algorithm="gd", schedule=StepSchedule("default")),
+    "penalty-canonical": dict(algorithm="penalty_gd", kappa=0.2),
+    "penalty-descent": dict(algorithm="penalty_gd", kappa=0.2, penalty_canonical=False),
+    "step_and_project": dict(algorithm="step_and_project", gamma=1.0, psi=0.2),
+    "power_projection": dict(algorithm="power_projection", gamma=0.5),
+    "power_projection-default": dict(algorithm="power_projection", gamma=0.5,
+                                     schedule=StepSchedule("default")),
+}
+
+
+@pytest.mark.parametrize("case", WORKSPACE_CASES)
+@pytest.mark.parametrize("L", [1, 4])
+def test_workspace_loop_matches_allocating_loop(case, L):
+    kw = {"schedule": StepSchedule("constant", 0.05), **WORKSPACE_CASES[case]}
+    cfg = TrainerConfig(d=3, L=L, max_iters=40, record_spectra=True, record_layers=True, **kw)
+    trace = run_against_reference(PHI3, cfg)
+    assert len(trace.losses) == 41
+    # the snapshots are copies, not views of the loop's two buffers
+    for m in trace.final_layers:
+        assert not np.shares_memory(trace.layers, m)
+    np.testing.assert_array_equal(trace.layers[-1], np.stack(trace.final_layers))
+
+
 @pytest.mark.parametrize("algorithm, extra, eta", DIVERGING)
 def test_workspace_loop_diverges_like_allocating_loop(algorithm, extra, eta):
     # eta 1 ends on the loss, eta 1e308 on a non-finite update (or, for the
@@ -695,6 +743,45 @@ def test_non_finite_run_parameters_are_config_errors(fields):
 
 
 # --- the fixed-point exit ----------------------------------------------------
+
+
+# runs that reach an iterate their step maps to itself bit for bit
+STALL_CASES = {
+    "ball-criterion-9": (np.diag([-0.8, 1.0, 1.0]), dict(
+        algorithm="step_and_project", d=3, L=3, gamma=1.0, psi=0.9,
+        schedule=StepSchedule("constant", 0.2), max_iters=80)),
+    "gd-spd": (np.diag([0.5, 2.0]), dict(
+        algorithm="gd", d=2, L=2, schedule=StepSchedule("constant", 0.1), max_iters=400)),
+    "penalty-kappa-one-eta-zero": (np.diag([0.5, 2.0]), dict(
+        algorithm="penalty_gd", d=2, L=2, kappa=1.0,
+        schedule=StepSchedule("constant", 0.0), max_iters=10)),
+    "gd-admissible": (np.array([[1.1]]), dict(
+        algorithm="gd", d=1, L=2, schedule=StepSchedule("admissible"), max_iters=120)),
+    "gd-default": (np.array([[1.1]]), dict(
+        algorithm="gd", d=1, L=2, schedule=StepSchedule("default"), max_iters=120)),
+    "power_projection": (np.diag([0.8, 1.5]), dict(
+        algorithm="power_projection", d=2, L=2, gamma=0.5,
+        schedule=StepSchedule("constant", 0.1), max_iters=250)),
+}
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["inline", "pooled"])
+@pytest.mark.parametrize("case", STALL_CASES)
+def test_fixed_point_exit_matches_the_full_run(recorder_pool, exits, case, pooled):
+    # the run exits once, and its repeated rows are copies of the exit's
+    # row.  Pooled, on 3-row chunks and a 2-thread pool, which the kappa = 1
+    # run never starts: it exits at t = 1, before its first chunk fills.
+    phi, kw = STALL_CASES[case]
+    cfg = TrainerConfig(record_spectra=True, record_layers=True, **kw)
+    recorder_pool(2 if pooled else 0)
+    trace = run_against_reference(phi, cfg, 3 if pooled else None)
+    assert len(exits) == 1, "the run should stop at its fixed point"
+    assert trace.status == "budget" and len(trace.losses) == cfg.max_iters + 1
+    assert len(trace.etas) == cfg.max_iters
+    np.testing.assert_array_equal(trace.layers[-1], np.stack(trace.final_layers))
+    assert np.unique(trace.losses[-exits[0] - 1:]).size == 1
+    t = cfg.max_iters - exits[0]
+    assert (trainers._POOL is not None) == (pooled and t + 1 > 3)
 
 
 @pytest.mark.parametrize("pooled", [False, True], ids=["inline", "pooled"])
