@@ -13,11 +13,9 @@ from __future__ import annotations
 import functools
 import json
 import os
-import sys
 import time
 import typing
 from dataclasses import asdict, dataclass, field, is_dataclass
-from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +23,9 @@ import numpy as np
 from .errors import ConfigError, NumericError
 from .matcore import MAX_DIM, as_mat, frob_norm, rotation, sym
 from .project import gamma_margin
-from .trainers import RUNNERS, StepSchedule, TrainerConfig, TrainingTrace, _usable_cpus
+from .trainers import (
+    RUNNERS, StepSchedule, TrainerConfig, TrainingTrace, _conforms, _usable_cpus,
+)
 from .verify import (
     CheckReport,
     check_commuting_normal,
@@ -202,25 +202,6 @@ class ScenarioConfig:
 def _frozen(value):
     """JSON arrays as (nested) tuples."""
     return tuple(map(_frozen, value)) if isinstance(value, (list, tuple)) else value
-
-
-def _conforms(value, kind) -> bool:
-    """Whether a value fits a declared field type: an ``int`` is an integer
-    but not a boolean, a ``float`` is a float or an ``int`` that converts to
-    one; a tuple type holds conforming entries; a union admits any of its
-    members."""
-    if kind is int:
-        return isinstance(value, Integral) and not isinstance(value, bool)
-    if kind is float:
-        return isinstance(value, float) or (
-            _conforms(value, int) and abs(value) <= sys.float_info.max
-        )
-    args = typing.get_args(kind)
-    if typing.get_origin(kind) is tuple:
-        return isinstance(value, tuple) and all(_conforms(v, args[0]) for v in value)
-    if args:
-        return any(_conforms(value, member) for member in args)
-    return isinstance(value, kind)
 
 
 # the field types of each config dataclass, evaluated once: the string

@@ -16,6 +16,7 @@ Conventions that the rest of the package relies on:
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -91,6 +92,14 @@ def rotation(theta: float) -> np.ndarray:
     """2x2 counterclockwise rotation by ``theta`` radians."""
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s], [s, c]])
+
+
+def _power(base: float, k: int) -> float:
+    """``base ** k``, or inf where the float power overflows."""
+    try:
+        return base**k
+    except OverflowError:
+        return math.inf
 
 
 def frob_norm(a) -> float:

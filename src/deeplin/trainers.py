@@ -18,16 +18,18 @@ from __future__ import annotations
 
 import math
 import os
+import sys
+import typing
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
 from . import matcore
 from .errors import ConfigError, NumericError
 from .factor import balanced_factorization
-from .matcore import as_mat, eye, frob_norm, op_norm
+from .matcore import _power, as_mat, eye, frob_norm, op_norm
 from .network import _chain, product, residual_loss
 from .project import IdentityBall, gamma_margin, project_gamma_positive, project_identity_ball
 
@@ -38,9 +40,27 @@ _MAX_RECORDED_ENTRIES = matcore.MAX_HESSIAN_SIDE**2
 # The recorder takes its statistics in chunks of about this many layer
 # entries (256 KiB of float64), at least one iterate per chunk.
 _CHUNK_ENTRIES = 2**15
-# Chunk buffers a recorder may hold while the pool works on full ones.
-_RING = 4
 _POOL = None  # created by _pool on first use
+
+
+def _conforms(value, kind) -> bool:
+    """Whether a value fits a declared config field type: an ``int`` is an
+    integer but not a boolean, a ``float`` is a float or an ``int`` that
+    converts to one; a tuple type holds conforming entries; a union admits
+    any of its members."""
+    if kind is int:
+        return isinstance(value, Integral) and not isinstance(value, bool)
+    if kind is float:
+        return isinstance(value, float) or (
+            _conforms(value, int) and abs(value) <= sys.float_info.max
+        )
+    args = typing.get_args(kind)
+    if typing.get_origin(kind) is tuple:
+        return isinstance(value, tuple) and all(_conforms(v, args[0]) for v in value)
+    if args:
+        return any(_conforms(value, member) for member in args)
+    return isinstance(value, kind)
+
 
 @dataclass(frozen=True)
 class StepSchedule:
@@ -107,6 +127,9 @@ class TrainerConfig:
     def validate(self):
         if self.algorithm not in RUNNERS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
+        for name in ("d", "L", "max_iters"):
+            if not _conforms(value := getattr(self, name), int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.d <= matcore.MAX_DIM:
             raise ConfigError(f"d={self.d} outside [1, {matcore.MAX_DIM}]")
         if not 1 <= self.L <= matcore.MAX_LAYERS:
@@ -172,18 +195,19 @@ class TrainingTrace:
 def step_size_symmetric_target(phi, L: int) -> float:
     """Standard constant step for symmetric positive definite targets:
     1 / (L (1 + ||phi||_2^2))."""
-    return 1.0 / (L * (1.0 + op_norm(phi) ** 2))
+    return 1.0 / (L * (1.0 + _power(op_norm(phi), 2)))
 
 
 def step_size_power_projection(phi, L: int, c: float = 3.0) -> float:
     """Standard constant step for the power projection trainer:
-    1 / (c L d^5 ||phi||_F^2), undefined for a zero target."""
+    1 / (c L d^5 ||phi||_F^2), undefined for a zero target and infinite
+    where the scale underflows to 0."""
     phi = as_mat(phi)
-    d = phi.shape[0]
-    scale = c * L * d**5 * frob_norm(phi) ** 2
-    if scale == 0.0:
+    if not phi.any():
         raise ConfigError("the standard power projection step needs a nonzero target")
-    return 1.0 / scale
+    d = phi.shape[0]
+    scale = c * L * d**5 * _power(frob_norm(phi), 2)
+    return 1.0 / scale if scale else math.inf
 
 
 def admissible_step(d: int, L: int, phi_op_sq: float, radius: float, loss_val: float) -> float:
@@ -235,10 +259,9 @@ def _usable_cpus() -> int:
 
 
 def _pool_size() -> int:
-    """Recorder pool threads: one fewer than the ring's buffers, at most one
-    per usable CPU, and none on one CPU."""
-    cpus = _usable_cpus()
-    return min(_RING - 1, cpus) if cpus > 1 else 0
+    """Recorder pool threads: one, for the one chunk job a recorder has in
+    flight, and none on one CPU."""
+    return int(_usable_cpus() > 1)
 
 
 def _pool():
@@ -270,19 +293,20 @@ class _Recorder:
     product) into a chunk buffer of ``_CHUNK_ENTRIES // (L d^2)`` iterates,
     at least one.  ``_chunk_stats`` takes a chunk's statistics with the same
     LAPACK call per matrix that per-iterate calls would make, so the values
-    are theirs.  A full chunk goes to the thread pool of ``_pool`` as one
-    job, which runs while the loop fills the next buffer of a ring of at
-    most ``_RING`` (numpy releases the GIL in those calls); with every
-    buffer busy the loop waits for the oldest job.  Buffers and the pool
-    are made only when a chunk fills.  What depends on order stays on this
-    thread, in chunk order: the recorded layers grow on submission, and the
-    running maxima, tables and spectra are taken up as jobs are collected.
-    The same calls on the same bytes give the same values on any thread, so
-    the trace is bitwise that of taking every chunk inline, as is done
-    without a pool.
+    are theirs.  A full chunk goes to the pool of ``_pool`` when no job is
+    running (a finished one is collected first), and the loop fills the
+    other of two buffers meanwhile (numpy releases the GIL in those calls);
+    a chunk that fills while the job runs is taken inline.  So at most one
+    job is in flight, and the second buffer and the pool are made only when
+    a chunk first goes to the pool.  What depends on order stays on this
+    thread, in chunk order: the recorded layers grow as a chunk is
+    submitted or taken inline, and the running maxima, tables and spectra
+    are taken up as chunks are collected.  The same calls on the same bytes
+    give the same values on any thread, so the trace is bitwise that of
+    taking every chunk inline, as is done without a pool.
 
     ``columns`` and ``repeat`` take the partial last chunk inline while the
-    pool finishes, so a run that never fills a chunk starts no thread and
+    job finishes, so a run that never fills a chunk starts no thread and
     never waits on one.  ``radius``, read every step by the admissible
     schedule, flushes on its first read only; later reads take the
     deviation SVD of the rows added since.  Recorded layers grow in place,
@@ -296,8 +320,8 @@ class _Recorder:
         self.spectra_on = cfg.record_spectra
         self.eye = eye(d)
         self.slot = self._new_slot()
-        self.free: list = []
-        self.pending: deque = deque()  # (job, slot), oldest first
+        self.other = None  # the second buffer, made for the first job
+        self.job = None  # the pool's job on the chunk in ``other``
         self.n = 0
         self.tables: list = []
         self.spectra: list = []
@@ -359,39 +383,35 @@ class _Recorder:
             self._grow_layers(np.broadcast_to(last, (k, *self.shape)))
 
     def _submit(self):
-        """Hand the full chunk to the pool and move to a free buffer."""
+        """Hand the full chunk to the pool and move to the other buffer, or
+        take it inline while the job in flight runs."""
         if self.peak is not None:
             self._peek(self.size)
         pool = _pool()
-        if pool is None:
+        if self.job is not None and self.job.done():
+            self._collect()
+        if pool is None or self.job is not None:
             self._flush()
             return
-        buf, prods, _ = slot = self.slot
+        buf, prods, _ = self.slot
         self._grow_layers(buf)
-        self.pending.append((pool.submit(_chunk_stats, buf, prods, self.eye), slot))
+        self.job = pool.submit(_chunk_stats, buf, prods, self.eye)
         self.n = self.seen = 0
-        if not self.free:
-            # every buffer made so far holds a pending chunk
-            if len(self.pending) < _RING:
-                self.free.append(self._new_slot())
-            else:
-                self._collect()
-        self.slot = self.free.pop()
+        self.slot, self.other = self.other or self._new_slot(), self.slot
 
     def _collect(self):
-        """Take up the oldest job's statistics and free its buffer."""
-        job, slot = self.pending.popleft()
-        self._take_up(slot[2], job.result())
-        self.free.append(slot)
+        """Take up the job's statistics, which frees the other buffer."""
+        job, self.job = self.job, None
+        self._take_up(self.other[2], job.result())
 
     def _flush(self):
-        """Take the partial chunk's statistics inline while the pool
-        finishes, then collect every job and take the partial up last."""
+        """Take the partial chunk's statistics inline while the job in
+        flight finishes, then take up the job's and the partial's, in order."""
         n, self.n, self.seen = self.n, 0, 0
         if n:
             buf, prods, table = self.slot
             stats = _chunk_stats(buf[:n], None if prods is None else prods[:n], self.eye)
-        while self.pending:
+        if self.job is not None:
             self._collect()
         if n:
             self._grow_layers(buf[:n])
@@ -431,7 +451,7 @@ def _step_size(phi: np.ndarray, cfg: TrainerConfig):
     if schedule.mode == "admissible" or (
         schedule.mode == "default" and cfg.algorithm == "gd"
     ):
-        phi_op_sq = op_norm(phi) ** 2
+        phi_op_sq = _power(op_norm(phi), 2)
         return lambda t, rec, loss_val: admissible_step(
             cfg.d, cfg.L, phi_op_sq, rec.radius, loss_val
         )

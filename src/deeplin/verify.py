@@ -32,7 +32,7 @@ from functools import partial
 import numpy as np
 
 from .matcore import (
-    ABS_FLOOR, MAX_HESSIAN_SIDE, frob_norm, is_symmetric, op_norm, sym,
+    ABS_FLOOR, MAX_HESSIAN_SIDE, _power, frob_norm, is_symmetric, op_norm, sym,
 )
 from .network import (
     DeepLinearNet, full_gradient, full_hessian, hessian_frob_norm, loss, product,
@@ -207,14 +207,6 @@ def check_gradient_lower_bound(net: DeepLinearNet, phi) -> CheckReport:
         "gradient_lower_bound", 1, violations, worst,
         f"lhs {lhs:.6e} vs bound {rhs:.6e}",
     )
-
-
-def _power(base: float, k: int) -> float:
-    """``base ** k``, or inf where the float power overflows."""
-    try:
-        return base**k
-    except OverflowError:
-        return math.inf
 
 
 def check_hessian_upper_bound(net: DeepLinearNet, phi) -> CheckReport:

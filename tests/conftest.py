@@ -1,8 +1,14 @@
 import contextlib
 
 import pytest
+from hypothesis import settings
 
 from deeplin import trainers
+
+# every property test draws the same examples on every run; each keeps its
+# own max_examples
+settings.register_profile("deeplin", derandomize=True, deadline=None)
+settings.load_profile("deeplin")
 
 
 @contextlib.contextmanager

@@ -546,10 +546,13 @@ def test_sweep_of_stalling_runs_writes_the_serial_artifacts(
 
 @pytest.mark.parametrize("pool_size", [0, 2])
 def test_recorder_linalg_failure_is_an_error_report(monkeypatch, recorder_pool, pool_size):
-    # raised inline without a pool, and on a pool thread, re-raised when the
-    # loop collects the job, with one
+    # a one-row run of one-row chunks: raised inline without a pool, and
+    # with one on a pool thread, re-raised when the loop collects the job.
+    # A longer run could take a later chunk inline before that job is done.
     recorder_pool(pool_size)
     monkeypatch.setattr(trainers, "_CHUNK_ENTRIES", 1)
+    data = demo_config()
+    data["trainer"]["max_iters"] = 0
     svd, failed_on = np.linalg.svd, []
 
     def failing_svd(a, *args, **kwargs):
@@ -559,7 +562,7 @@ def test_recorder_linalg_failure_is_an_error_report(monkeypatch, recorder_pool, 
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", failing_svd)
-    report = run_scenario(scenario_from_dict(demo_config()))
+    report = run_scenario(scenario_from_dict(data))
     assert report.status == "error"
     assert "recorder statistics failed: SVD did not converge" in report.detail
     on_pool = [name.startswith("deeplin-recorder") for name in failed_on]

@@ -542,9 +542,9 @@ def test_chunked_recorder_radius_feeds_admissible_steps(mode):
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHM_ARGS)
-def test_pooled_recorder_backlog_beyond_the_ring(recorder_pool, algorithm):
-    # 15 full chunks of 2 rows against a ring of 4 buffers, so the loop
-    # waits on the oldest job again and again
+def test_pooled_recorder_many_full_chunks(recorder_pool, algorithm):
+    # 15 full chunks of 2 rows through two buffers: each chunk goes to the
+    # pool or, while the job runs, is taken inline, as the timing falls
     recorder_pool(2)
     cfg = TrainerConfig(
         algorithm, 2, 3, StepSchedule("constant", 0.05), max_iters=29,
@@ -553,6 +553,31 @@ def test_pooled_recorder_backlog_beyond_the_ring(recorder_pool, algorithm):
     trace = run_against_reference(TARGET, cfg, 2)
     assert len(trace.losses) == 30
     assert trainers._POOL is not None
+
+
+def test_pooled_recorder_holds_one_job_and_two_buffers(recorder_pool, monkeypatch):
+    recorder_pool(2)
+    pool, jobs, slots = trainers._pool(), [], []
+    new_slot = trainers._Recorder._new_slot
+
+    class Spy:
+        def submit(self, *args):
+            # every earlier job was collected, so it is done
+            assert all(job.done() for job in jobs)
+            jobs.append(pool.submit(*args))
+            return jobs[-1]
+
+    def counted(rec):
+        slots.append(rec)
+        return new_slot(rec)
+
+    spy = Spy()
+    monkeypatch.setattr(trainers, "_pool", lambda: spy)
+    monkeypatch.setattr(trainers._Recorder, "_new_slot", counted)
+    cfg = TrainerConfig("gd", 2, 3, StepSchedule("constant", 0.05), max_iters=29,
+                        record_spectra=True, record_layers=True)
+    run_against_reference(TARGET, cfg, 2)
+    assert jobs and len(slots) <= 2
 
 
 def test_pooled_recorder_stops_mid_chunk(recorder_pool):
@@ -740,6 +765,55 @@ def test_non_finite_run_parameters_are_config_errors(fields):
         cfg.validate()
     with pytest.raises(ConfigError):
         RUNNERS[cfg.algorithm](np.eye(2), cfg)
+
+
+# Python-built configs: the JSON path rejects these types before validation
+NON_INTEGER_CONFIGS = [
+    pytest.param(dict(max_iters=2.5), id="max_iters-float"),
+    pytest.param(dict(L=2.0), id="L-float"),
+    pytest.param(dict(d=True), id="d-bool"),
+]
+
+
+@pytest.mark.parametrize("fields", NON_INTEGER_CONFIGS)
+def test_non_integer_run_parameters_are_config_errors(fields):
+    cfg = TrainerConfig(**{"algorithm": "gd", "d": 2, "L": 2,
+                           "schedule": StepSchedule("constant", 1e-3), **fields})
+    with pytest.raises(ConfigError, match="must be an integer"):
+        run_gd(np.eye(2), cfg)
+
+
+def test_numpy_integer_run_parameters_pass():
+    phi, schedule = np.diag([0.5, 2.0]), StepSchedule("constant", 0.05)
+    cfg = TrainerConfig("gd", np.int64(2), np.int64(3), schedule, max_iters=np.int64(5))
+    trace = run_gd(phi, cfg)
+    assert (trace.status, trace.iterations) == ("budget", 5)
+    plain = run_gd(phi, TrainerConfig("gd", 2, 3, schedule, max_iters=5))
+    assert_traces_bitwise_equal(trace, plain)
+
+
+@pytest.mark.parametrize("mode", ["admissible", "default"])
+def test_gd_on_a_target_whose_square_overflows_diverges(mode):
+    cfg = TrainerConfig("gd", 2, 3, StepSchedule(mode), max_iters=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # numpy's overflow in the loss
+        trace = run_gd(1e160 * np.eye(2), cfg)
+    assert trace.status == "diverged"
+
+
+def test_step_sizes_past_the_float_range():
+    assert step_size_symmetric_target(1e200 * np.eye(2), 2) == 0.0
+    # the scale of a tiny target underflows to 0: an infinite step, which
+    # diverges; a zero target still has no step
+    assert step_size_power_projection(1e-200 * np.eye(2), 3) == math.inf
+    cfg = TrainerConfig("power_projection", 2, 3, StepSchedule("default"), gamma=0.5, max_iters=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the targets are not 0.5-positive
+        assert run_power_projection(1e-200 * np.eye(2), cfg).status == "diverged"
+        with pytest.raises(ConfigError, match="nonzero target"):
+            run_power_projection(np.zeros((2, 2)), cfg)
+    with pytest.raises(ConfigError, match="nonzero target"):
+        step_size_power_projection(np.zeros((2, 2)), 3)
 
 
 # --- the fixed-point exit ----------------------------------------------------
