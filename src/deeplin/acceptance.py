@@ -19,34 +19,18 @@ import numpy as np
 from .errors import ConfigError
 from .factor import balanced_factorization
 from .lab import (
-    ScenarioConfig,
-    ScenarioReport,
-    TargetSpec,
-    make_target,
-    random_orthogonal,
-    run_scenario,
+    ScenarioConfig, ScenarioReport, TargetSpec, make_target, random_orthogonal, run_scenario,
     scenario_from_dict,
 )
 from .network import DeepLinearNet
 from .project import IdentityBall, project_gamma_positive, project_identity_ball
 from .trainers import (
-    StepSchedule,
-    TrainerConfig,
-    run_gd,
-    run_penalty_gd,
-    run_power_projection,
-    run_step_and_project,
-    step_size_power_projection,
-    step_size_symmetric_target,
+    StepSchedule, TrainerConfig, run_gd, run_penalty_gd, run_power_projection,
+    run_step_and_project, step_size_power_projection, step_size_symmetric_target,
 )
 from .verify import (
-    check_commuting_normal,
-    check_gradient_lower_bound,
-    check_hessian_upper_bound,
-    eigen_recurrence_check,
-    fd_gradient_check,
-    fd_hessian_check,
-    trace_recurrence_check,
+    check_commuting_normal, check_gradient_lower_bound, check_hessian_upper_bound,
+    eigen_recurrence_check, fd_gradient_check, fd_hessian_check, trace_recurrence_check,
 )
 
 

@@ -10,8 +10,8 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import NoRealRootError, NumericError, SingularInputError
-from .matcore import as_mat, cond_estimate, eye, frob_norm, singular_values, sym
+from .errors import NoRealRootError, NumericError, SingularInputError, _conforms
+from .matcore import MAX_LAYERS, as_mat, cond_estimate, eye, frob_norm, singular_values, sym
 
 # Eigenvalue angles within this of +-pi count as an eigenvalue at -1.
 NEG_ONE_ANGLE_TOL = 1e-8
@@ -76,14 +76,14 @@ def balanced_factorization(a, L: int) -> FactorizationResult:
     symmetric root p1 = V S^(1/L) V^T; ``_orthogonal_powers`` gives every
     power of r from one eigendecomposition (Higham, Functions of Matrices,
     2008, ch. 7-8).  Factors are returned as one stack in product order, so
-    ``factors[0] @ ... @ factors[-1]`` reconstructs ``a``.  A numerically
-    singular input raises SingularInputError, a rotation part with an
-    eigenvalue at -1 (no real principal root) NoRealRootError, and a failed
-    reconstruction NumericError.
+    ``factors[0] @ ... @ factors[-1]`` reconstructs ``a``.  L outside
+    [1, MAX_LAYERS] raises ValueError, a numerically singular input
+    SingularInputError, a rotation part with an eigenvalue at -1 (no real
+    principal root) NoRealRootError, and a failed reconstruction NumericError.
     """
     a = as_mat(a)
-    if not isinstance(L, (int, np.integer)) or L < 1:
-        raise ValueError("L must be a positive integer")
+    if not (_conforms(L, int) and 1 <= L <= MAX_LAYERS):
+        raise ValueError(f"L must be an integer in [1, {MAX_LAYERS}], got {L!r}")
     return _balanced(a, L)
 
 
@@ -109,7 +109,7 @@ def _balanced(a: np.ndarray, L: int) -> FactorizationResult:
     factors = powers[1] @ rk @ p_root @ rk.transpose(0, 2, 1)
 
     recon = frob_norm(reduce(np.matmul, factors) - a) / max(frob_norm(a), 1.0)
-    if recon > RECON_TOL:
+    if not recon <= RECON_TOL:  # NaN too
         raise NumericError(
             f"balanced factorization failed to reconstruct the input "
             f"(relative residual {recon:.3e}, d={a.shape[0]}, L={L}, "

@@ -1,7 +1,8 @@
 """Experiment orchestration: target construction, scenario configs, trace
 artifacts, and the process-facing entry points behind the CLI.
 
-Each value in a scenario config must have its dataclass field's type.
+Each value in a scenario config must have its dataclass field's type,
+from JSON or built in Python alike: ``validate`` checks the types first.
 With an output directory set, ``run_scenario`` writes the trace CSV of
 ``write_trace_csv``, a JSONL file with one check report per line, and a
 JSON scenario report.  Matrix CSV interchange (used by the ``factor``
@@ -10,43 +11,28 @@ subcommand) is row-major with a ``d,<dim>`` header line.
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import time
-import typing
 from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, _check_fields, _type_hints
 from .matcore import MAX_DIM, as_mat, frob_norm, rotation, sym
 from .project import gamma_margin
-from .trainers import (
-    RUNNERS, StepSchedule, TrainerConfig, TrainingTrace, _conforms, _usable_cpus,
-)
+from .trainers import RUNNERS, StepSchedule, TrainerConfig, TrainingTrace, _usable_cpus
 from .verify import (
-    CheckReport,
-    check_commuting_normal,
-    check_gradient_lower_bound,
-    check_hessian_upper_bound,
-    eigen_recurrence_check,
-    fd_gradient_check,
-    fd_hessian_check,
-    trace_recurrence_check,
+    CheckReport, check_commuting_normal, check_gradient_lower_bound, check_hessian_upper_bound,
+    eigen_recurrence_check, fd_gradient_check, fd_hessian_check, trace_recurrence_check,
 )
 from .network import DeepLinearNet
 
 SCHEMA_VERSION = 1
 
 TARGET_KINDS = (
-    "spd",
-    "rotation",
-    "partial_reflection",
-    "neg_eig_diag",
-    "near_identity",
-    "explicit",
+    "spd", "rotation", "partial_reflection", "neg_eig_diag", "near_identity", "explicit",
 )
 
 # Checkers by scenario name: those of the final network, then those of the
@@ -65,8 +51,9 @@ _TRACE_CHECKS = {
 }
 CHECK_NAMES = (*_NET_CHECKS, *_TRACE_CHECKS)
 
-# The step-size formulas square the target's norm, which overflows past
-# about 1e154; from the identity start such a target diverges at t = 0.
+# A larger target is a config error: past about 1e154 its squared norm, so
+# the loss at t = 0, overflows with numpy's warnings, and the run could
+# only end diverged at t = 0 with no iterate to check.
 MAX_TARGET_NORM = 1e150
 
 
@@ -90,6 +77,15 @@ class TargetSpec:
     entries: tuple[tuple[float, ...], ...] = ()
     seed: int = 0
 
+    def validate(self):
+        _check_fields(self, "target")
+        if self.kind not in TARGET_KINDS:
+            raise ConfigError(f"unknown target kind {self.kind!r}")
+        if not 1 <= self.d <= MAX_DIM:
+            raise ConfigError(f"target dimension {self.d} outside [1, {MAX_DIM}]")
+        if self.seed < 0:
+            raise ConfigError(f"target seed {self.seed} is negative")
+
 
 def random_orthogonal(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish orthogonal matrix from QR of a standard normal draw, with
@@ -106,6 +102,7 @@ def make_target(spec: TargetSpec) -> np.ndarray:
     Unknown kinds, invalid parameters and a target that is not finite or
     whose norm exceeds ``MAX_TARGET_NORM`` raise ConfigError.
     """
+    spec.validate()
     phi = _target_matrix(spec)
     if not frob_norm(phi) <= MAX_TARGET_NORM:
         raise ConfigError(
@@ -115,12 +112,6 @@ def make_target(spec: TargetSpec) -> np.ndarray:
 
 
 def _target_matrix(spec: TargetSpec) -> np.ndarray:
-    if spec.kind not in TARGET_KINDS:
-        raise ConfigError(f"unknown target kind {spec.kind!r}")
-    if not 1 <= spec.d <= MAX_DIM:
-        raise ConfigError(f"target dimension {spec.d} outside [1, {MAX_DIM}]")
-    if spec.seed < 0:
-        raise ConfigError(f"target seed {spec.seed} is negative")
     d = spec.d
     rng = np.random.default_rng(spec.seed)
 
@@ -187,6 +178,7 @@ class ScenarioConfig:
     schema: int = SCHEMA_VERSION
 
     def validate(self):
+        _check_fields(self, "scenario config")
         if self.schema != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema version {self.schema}")
         if not self.scenario_id:
@@ -194,6 +186,7 @@ class ScenarioConfig:
         for name in self.checks:
             if name not in CHECK_NAMES:
                 raise ConfigError(f"unknown check {name!r}")
+        self.target.validate()
         self.trainer.validate()
         if self.trainer.d != self.target.d:
             raise ConfigError("trainer and target dimensions disagree")
@@ -204,29 +197,19 @@ def _frozen(value):
     return tuple(map(_frozen, value)) if isinstance(value, (list, tuple)) else value
 
 
-# the field types of each config dataclass, evaluated once: the string
-# annotations would otherwise be evaluated again on every load
-_type_hints = functools.cache(typing.get_type_hints)
-
-
 def _build(cls, data, context: str):
-    """``cls`` from a JSON object whose keys are fields of ``cls`` and whose
-    values fit the fields' declared types; an object for a dataclass field
-    is built the same way."""
+    """``cls`` from a JSON object whose keys are fields of ``cls``: arrays
+    become tuples, an object for a dataclass field is built the same way,
+    and ``validate`` checks every type, as for a config built in Python."""
     if not isinstance(data, dict):
         raise ConfigError(f"{context} must be a JSON object")
     kinds = _type_hints(cls)
-    unknown = set(data) - set(kinds)
-    if unknown:
+    if unknown := set(data) - set(kinds):
         raise ConfigError(f"unknown {context} fields: {sorted(unknown)}")
     values = {}
     for name, value in data.items():
-        kind = kinds[name]
-        value = _build(kind, value, name) if is_dataclass(kind) else _frozen(value)
-        if not _conforms(value, kind):
-            shown = kind.__name__ if isinstance(kind, type) else str(kind)
-            raise ConfigError(f"{context} field {name!r} must be {shown}, got {value!r}")
-        values[name] = value
+        nested = is_dataclass(kinds[name]) and isinstance(value, dict)
+        values[name] = _build(kinds[name], value, name) if nested else _frozen(value)
     try:
         return cls(**values)
     except TypeError as exc:  # a required field is missing

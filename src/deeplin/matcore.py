@@ -37,7 +37,10 @@ ABS_FLOOR = 1e-12
 def _checked(a, ndim: int, name: str) -> np.ndarray:
     """``a`` as a nonempty float64 array of ``ndim`` axes whose last two are
     equal and at most MAX_DIM, with finite entries."""
-    out = np.asarray(a, dtype=float)
+    try:
+        out = np.asarray(a, dtype=float)
+    except TypeError as exc:  # complex entries, a mapping, ...
+        raise ValueError(f"{name} is not a real array: {exc}") from exc
     if out.ndim != ndim or out.size == 0 or out.shape[-1] != out.shape[-2]:
         layout = "(d, d)" if ndim == 2 else "(n, d, d)"
         raise ValueError(f"{name} must have a nonempty {layout} shape, got {out.shape}")
@@ -45,7 +48,7 @@ def _checked(a, ndim: int, name: str) -> np.ndarray:
         raise ValueError(
             f"{name} has shape {out.shape}, beyond the configured bound {MAX_DIM}"
         )
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ValueError(f"{name} has non-finite entries")
     return out
 
@@ -103,7 +106,15 @@ def _power(base: float, k: int) -> float:
 
 
 def frob_norm(a) -> float:
-    return float(np.linalg.norm(np.asarray(a, dtype=float)))
+    """Frobenius norm: ``np.linalg.norm``'s where the sum of squares is a
+    normal float (the norm at least 2^-511), else ``math.hypot`` of the
+    entries, which scales by the largest and so neither underflows nor
+    overflows (numpy warns of the overflow first).  NaN gives NaN."""
+    a = np.asarray(a, dtype=float)
+    norm = float(np.linalg.norm(a))
+    if 2.0**-511 <= norm < math.inf or math.isnan(norm):
+        return norm
+    return math.hypot(*a.flat)
 
 
 def cond_estimate(a) -> float:

@@ -37,7 +37,7 @@ class DeepLinearNet:
 
     def __post_init__(self):
         # ragged layers raise ValueError here
-        layers = as_stack(np.array(self.layers, dtype=float), name="layers")
+        layers = as_stack(self.layers, name="layers").copy()
         if len(layers) > MAX_LAYERS:
             raise ValueError(f"{len(layers)} layers exceeds the bound {MAX_LAYERS}")
         layers.flags.writeable = False

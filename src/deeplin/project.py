@@ -18,19 +18,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _check_fields, _conforms
 from .matcore import as_mat, as_stack, eye, is_symmetric, singular_values, skew, sym
 
 
 @dataclass(frozen=True)
 class IdentityBall:
-    """Operator-norm ball of the given radius around the identity; the
-    psd_constrained variant additionally intersects with the symmetric
-    positive semidefinite cone."""
+    """Operator-norm ball of the given radius around the identity, with the
+    symmetric positive semidefinite cone when psd_constrained.  A mistyped
+    field raises ConfigError, a negative or NaN radius ValueError."""
 
     radius: float
     psd_constrained: bool = False
 
     def __post_init__(self):
+        _check_fields(self, "ball")
         if not self.radius >= 0.0:
             raise ValueError("radius must be nonnegative")
 
@@ -48,8 +50,8 @@ def project_gamma_positive(a, gamma: float) -> np.ndarray:
     The skew part passes through untouched up to the single rounding of the
     final addition; feasible input is returned bitwise as is.
     """
-    if not gamma > 0.0:
-        raise ValueError("gamma must be positive")
+    if not (_conforms(gamma, float) and gamma > 0.0):
+        raise ValueError(f"gamma must be a positive float, got {gamma!r}")
     return _gamma_kernel(as_mat(a), gamma)
 
 

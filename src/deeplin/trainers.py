@@ -18,16 +18,13 @@ from __future__ import annotations
 
 import math
 import os
-import sys
-import typing
 import warnings
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
 from . import matcore
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, _check_fields
 from .factor import balanced_factorization
 from .matcore import _power, as_mat, eye, frob_norm, op_norm
 from .network import _chain, product, residual_loss
@@ -41,25 +38,6 @@ _MAX_RECORDED_ENTRIES = matcore.MAX_HESSIAN_SIDE**2
 # entries (256 KiB of float64), at least one iterate per chunk.
 _CHUNK_ENTRIES = 2**15
 _POOL = None  # created by _pool on first use
-
-
-def _conforms(value, kind) -> bool:
-    """Whether a value fits a declared config field type: an ``int`` is an
-    integer but not a boolean, a ``float`` is a float or an ``int`` that
-    converts to one; a tuple type holds conforming entries; a union admits
-    any of its members."""
-    if kind is int:
-        return isinstance(value, Integral) and not isinstance(value, bool)
-    if kind is float:
-        return isinstance(value, float) or (
-            _conforms(value, int) and abs(value) <= sys.float_info.max
-        )
-    args = typing.get_args(kind)
-    if typing.get_origin(kind) is tuple:
-        return isinstance(value, tuple) and all(_conforms(v, args[0]) for v in value)
-    if args:
-        return any(_conforms(value, member) for member in args)
-    return isinstance(value, kind)
 
 
 @dataclass(frozen=True)
@@ -79,6 +57,7 @@ class StepSchedule:
     etas: tuple[float, ...] = ()
 
     def validate(self, algorithm: str):
+        _check_fields(self, "schedule")
         # eta = 0 is a legal no-op step (the kappa = 1 penalty fixed point
         # needs it); negative and non-finite steps are rejected
         if self.mode == "constant":
@@ -100,7 +79,7 @@ class StepSchedule:
 
     def step(self, t: int) -> float:
         if self.mode == "constant":
-            return self.eta
+            return float(self.eta)
         if self.mode == "sequence":
             return float(self.etas[min(t, len(self.etas) - 1)])
         raise ConfigError(f"schedule mode {self.mode!r} has no direct step")
@@ -125,11 +104,9 @@ class TrainerConfig:
     penalty_canonical: bool = True
 
     def validate(self):
+        _check_fields(self, "trainer")
         if self.algorithm not in RUNNERS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
-        for name in ("d", "L", "max_iters"):
-            if not _conforms(value := getattr(self, name), int):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.d <= matcore.MAX_DIM:
             raise ConfigError(f"d={self.d} outside [1, {matcore.MAX_DIM}]")
         if not 1 <= self.L <= matcore.MAX_LAYERS:

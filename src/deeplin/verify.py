@@ -35,7 +35,7 @@ from .matcore import (
     ABS_FLOOR, MAX_HESSIAN_SIDE, _power, frob_norm, is_symmetric, op_norm, sym,
 )
 from .network import (
-    DeepLinearNet, full_gradient, full_hessian, hessian_frob_norm, loss, product,
+    DeepLinearNet, _target, full_gradient, full_hessian, hessian_frob_norm, loss, product,
 )
 from .trainers import TrainingTrace
 
@@ -184,7 +184,7 @@ def check_gradient_lower_bound(net: DeepLinearNet, phi) -> CheckReport:
     a floor on the layer singular values (a clamped at 0, since the bound
     parameterizes a floor, not the exact minimum).  Tight at identity
     layers.  Skipped when a >= 1 (the bound is vacuous there)."""
-    phi = np.asarray(phi, dtype=float)
+    phi = _target(net, phi)
     a = max(0.0, 1.0 - float(net.singular_values.min()))
     if a >= 1.0:
         return _skipped("gradient_lower_bound", f"vacuous margin (a={a:.3f})")
@@ -215,7 +215,7 @@ def check_hessian_upper_bound(net: DeepLinearNet, phi) -> CheckReport:
     ||phi||_2 <= (1+z)^L; otherwise skipped, and skipped too when the
     bound passes the float range.  The left side is ``hessian_frob_norm``,
     which never forms the matrix, so no network is too wide."""
-    phi = np.asarray(phi, dtype=float)
+    phi = _target(net, phi)
     z = max(0.0, float(net.singular_values[:, 0].max()) - 1.0)
     if op_norm(phi) > _power(1.0 + z, net.L):
         return _skipped(

@@ -1,5 +1,7 @@
 """Principal orthogonal roots and the balanced factorization."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -316,6 +318,23 @@ def test_spd_root_diagonal():
         balanced_factorization(np.ones((2, 3)), 2)
     with pytest.raises(SingularInputError):
         balanced_factorization(np.diag([1.0, 0.0]), 2)
+
+
+@pytest.mark.parametrize("L", [0, -1, 65, 10**9, 2.0, True, "2", None])
+def test_factor_count_outside_the_layer_bound_is_a_value_error(L):
+    # checked before anything is allocated for the L + 1 powers
+    with pytest.raises(ValueError, match=r"^L must be an integer in \[1, 64\], got "):
+        balanced_factorization(np.eye(2), L)
+
+
+def test_balanced_factorization_of_a_huge_input_reconstructs():
+    # the residual's norms were inf and NaN while frob_norm overflowed, and
+    # a NaN residual passed the reconstruction test
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # numpy's overflow in the unscaled sum
+        res = balanced_factorization(1e300 * np.eye(2), 2)
+    assert 0.0 <= res.reconstruction_residual <= factor.RECON_TOL
+    np.testing.assert_allclose(res.factors, np.broadcast_to(1e150 * np.eye(2), (2, 2, 2)))
 
 
 def test_balanced_factorization_diag():

@@ -6,7 +6,7 @@ import json
 import math
 import threading
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -654,7 +654,20 @@ MISTYPED = [
     pytest.param(("target", "seed"), -1, id="seed-negative"),
     pytest.param(("target", "eigenvalues"), [0.5, 10**400], id="eigenvalue-too-large"),
     pytest.param(("trainer", "schedule", "eta"), 10**400, id="eta-too-large"),
+    pytest.param(("trainer", "schedule", "etas"), ["a"], id="etas-string"),
+    pytest.param(("trainer", "schedule"), None, id="schedule-null"),
+    pytest.param(("trainer", "gamma"), "0.5", id="gamma-string"),
+    pytest.param(("trainer", "epsilon"), "0", id="epsilon-string"),
+    pytest.param(("trainer", "kappa"), None, id="kappa-null"),
+    pytest.param(("trainer", "record_spectra"), "no", id="record-spectra-string"),
+    pytest.param(("trainer", "max_iters"), "3", id="max_iters-string"),
 ]
+
+
+def with_field(cfg, keys, value):
+    """``cfg`` with the field at the path ``keys`` set to ``value``."""
+    inner = value if len(keys) == 1 else with_field(getattr(cfg, keys[0]), keys[1:], value)
+    return replace(cfg, **{keys[0]: inner})
 
 
 @pytest.mark.parametrize("keys, value", MISTYPED)
@@ -664,8 +677,14 @@ def test_mistyped_config_is_a_config_error(tmp_path, keys, value):
     for key in keys[:-1]:
         node = node[key]
     node[keys[-1]] = value
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as from_json:
         run_scenario(scenario_from_dict(bad))
+    # the same value built into a Python config: the same error
+    good = scenario_from_dict(demo_config(scenario_id="bad", checks=[]))
+    built = with_field(good, keys, lab._frozen(value))
+    with pytest.raises(ConfigError) as from_python:
+        run_scenario(built)
+    assert str(from_python.value) == str(from_json.value)
     (tmp_path / "bad.json").write_text(json.dumps(bad))
     (tmp_path / "good.json").write_text(json.dumps(demo_config(scenario_id="good", checks=[])))
     assert cli.main(["run", str(tmp_path / "bad.json")]) == 2

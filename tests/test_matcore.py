@@ -1,5 +1,8 @@
 """Kernel matrix utilities: validation, sym/skew, rotation, spectra."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from deeplin.matcore import (
     as_mat,
     cond_estimate,
     eye,
+    frob_norm,
     is_symmetric,
     op_norm,
     rotation,
@@ -27,6 +31,8 @@ def test_as_mat_rejects_bad_input():
         as_mat(np.zeros((MAX_DIM + 1, MAX_DIM + 1)))
     with pytest.raises(ValueError):
         as_mat(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="not a real array"):
+        as_mat([[1j, 0.0], [0.0, 1.0]])
 
 
 def test_is_symmetric_per_matrix():
@@ -73,10 +79,27 @@ def test_singular_values_descending():
 def test_frob_norm_matches_trace_form():
     rng = np.random.default_rng(9)
     a = rng.standard_normal((4, 4))
-    from deeplin.matcore import frob_norm
-
     assert frob_norm(a) ** 2 == pytest.approx(np.trace(a.T @ a), rel=1e-10)
     assert op_norm(a) >= singular_values(a)[-1] >= 0.0
+
+
+def test_frob_norm_is_numpys_wherever_the_sum_of_squares_is_normal():
+    rng = np.random.default_rng(11)
+    for scale in (1e-150, 1e-3, 1.0, 1e3, 1e150):
+        a = scale * rng.standard_normal((5, 5))
+        for view in (a, a.T, a[::2, ::2]):
+            assert frob_norm(view) == np.linalg.norm(view)
+
+
+def test_frob_norm_neither_underflows_nor_overflows():
+    # the unscaled sum of squares reads 0.0 and inf here
+    assert frob_norm(1e-200 * np.eye(2)) == pytest.approx(math.sqrt(2.0) * 1e-200, rel=1e-15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # numpy's overflow in the unscaled sum
+        assert frob_norm(1e160 * np.eye(2)) == pytest.approx(math.sqrt(2.0) * 1e160, rel=1e-15)
+    assert frob_norm(np.zeros((3, 3))) == 0.0
+    assert math.isnan(frob_norm([[math.nan, 1.0], [math.inf, 1.0]]))
+    assert frob_norm([[math.inf, 1.0], [1.0, 1.0]]) == math.inf
 
 
 def test_cond_estimate_singular():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deeplin.errors import ConfigError
 from deeplin.lab import random_orthogonal
 from deeplin.matcore import frob_norm, op_norm, skew, sym
 from deeplin.project import (
@@ -303,6 +304,10 @@ def test_identity_ball_validation():
         IdentityBall(-0.1)
     with pytest.raises(ValueError, match="nonnegative"):
         IdentityBall(float("nan"))
+    with pytest.raises(ConfigError, match=r"^ball field 'radius' must be float, got '1'$"):
+        IdentityBall("1")
+    with pytest.raises(ConfigError, match=r"^ball field 'psd_constrained' must be bool"):
+        IdentityBall(1.0, psd_constrained="yes")
 
 
 @pytest.mark.parametrize("d, L, radius", [(1, 3, 0.2), (2, 3, 0.3), (4, 8, 0.1), (16, 64, 0.5)])

@@ -767,7 +767,7 @@ def test_non_finite_run_parameters_are_config_errors(fields):
         RUNNERS[cfg.algorithm](np.eye(2), cfg)
 
 
-# Python-built configs: the JSON path rejects these types before validation
+# Python-built configs: the JSON path's rule and message
 NON_INTEGER_CONFIGS = [
     pytest.param(dict(max_iters=2.5), id="max_iters-float"),
     pytest.param(dict(L=2.0), id="L-float"),
@@ -779,7 +779,8 @@ NON_INTEGER_CONFIGS = [
 def test_non_integer_run_parameters_are_config_errors(fields):
     cfg = TrainerConfig(**{"algorithm": "gd", "d": 2, "L": 2,
                            "schedule": StepSchedule("constant", 1e-3), **fields})
-    with pytest.raises(ConfigError, match="must be an integer"):
+    name, value = next(iter(fields.items()))
+    with pytest.raises(ConfigError, match=f"^trainer field '{name}' must be int, got {value!r}$"):
         run_gd(np.eye(2), cfg)
 
 
@@ -790,6 +791,14 @@ def test_numpy_integer_run_parameters_pass():
     assert (trace.status, trace.iterations) == ("budget", 5)
     plain = run_gd(phi, TrainerConfig("gd", 2, 3, schedule, max_iters=5))
     assert_traces_bitwise_equal(trace, plain)
+
+
+def test_numpy_float_run_parameters_pass():
+    phi = np.diag([0.5, 2.0])
+    cfg = TrainerConfig("gd", 2, 3, StepSchedule("constant", np.float32(0.0625)),
+                        max_iters=5, epsilon=np.float16(0.0))
+    plain = TrainerConfig("gd", 2, 3, StepSchedule("constant", 0.0625), max_iters=5)
+    assert_traces_bitwise_equal(run_gd(phi, cfg), run_gd(phi, plain))
 
 
 @pytest.mark.parametrize("mode", ["admissible", "default"])
