@@ -19,8 +19,8 @@ import numpy as np
 from .errors import ConfigError
 from .factor import balanced_factorization
 from .lab import (
-    ScenarioConfig, ScenarioReport, TargetSpec, make_target, random_orthogonal, run_scenario,
-    scenario_from_dict,
+    ScenarioConfig, ScenarioReport, TargetSpec, _make_dir, make_target, random_orthogonal,
+    run_scenario, scenario_from_dict,
 )
 from .network import DeepLinearNet
 from .project import IdentityBall, project_gamma_positive, project_identity_ball
@@ -377,7 +377,7 @@ def run_suite(criteria=None, output_dir=None) -> list:
     reports = []
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(output_dir) if output_dir else Path(tmp)
-        workdir.mkdir(parents=True, exist_ok=True)
+        _make_dir(workdir)
         for idx, (fn, budget) in enumerate(CRITERIA, start=1):
             if idx not in selected:
                 continue

@@ -183,6 +183,11 @@ class ScenarioConfig:
             raise ConfigError(f"unsupported schema version {self.schema}")
         if not self.scenario_id:
             raise ConfigError("scenario_id must be nonempty")
+        # the id names the artifact files inside output_dir
+        if any(c in self.scenario_id for c in "/\\\0"):
+            raise ConfigError(f"scenario_id {self.scenario_id!r} holds a path separator or NUL")
+        if self.output_dir is not None and "\0" in self.output_dir:
+            raise ConfigError(f"output_dir {self.output_dir!r} holds NUL")
         for name in self.checks:
             if name not in CHECK_NAMES:
                 raise ConfigError(f"unknown check {name!r}")
@@ -342,16 +347,27 @@ def _run_checks(names, trace: TrainingTrace, phi: np.ndarray) -> list:
     return reports
 
 
+def _make_dir(path: Path) -> Path:
+    """Make ``path`` and its parents and return it; failing that, a ConfigError."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make directory {path}: {exc}") from exc
+    return path
+
+
 def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
     """Build the target, run the configured trainer, evaluate the requested
     checks, and write artifacts when an output directory is configured.
 
     Trainer numeric failures are embedded in the report with status
-    ``error`` rather than raised.
+    ``error`` rather than raised.  An output directory that cannot be made
+    (checked before training) or written is a ConfigError.
     """
     cfg.validate()
     phi = make_target(cfg.target)
     margin = gamma_margin(phi)
+    outdir = None if cfg.output_dir is None else _make_dir(Path(cfg.output_dir))
     start = time.perf_counter()
     trace, checks, detail = None, [], ""
     try:
@@ -380,17 +396,18 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
         detail,
     )
 
-    if cfg.output_dir is not None:
-        outdir = Path(cfg.output_dir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        if trace is not None:
-            write_trace_csv(trace, outdir / f"{cfg.scenario_id}_trace.csv")
-            with open(outdir / f"{cfg.scenario_id}_checks.jsonl", "w") as fh:
-                for c in checks:
-                    fh.write(json.dumps(c.to_dict()) + "\n")
-        (outdir / f"{cfg.scenario_id}_report.json").write_text(
-            json.dumps(report.to_dict(), indent=2) + "\n"
-        )
+    if outdir is not None:
+        try:
+            if trace is not None:
+                write_trace_csv(trace, outdir / f"{cfg.scenario_id}_trace.csv")
+                with open(outdir / f"{cfg.scenario_id}_checks.jsonl", "w") as fh:
+                    for c in checks:
+                        fh.write(json.dumps(c.to_dict()) + "\n")
+            (outdir / f"{cfg.scenario_id}_report.json").write_text(
+                json.dumps(report.to_dict(), indent=2) + "\n"
+            )
+        except OSError as exc:
+            raise ConfigError(f"cannot write artifacts to {outdir}: {exc}") from exc
     return report
 
 

@@ -129,7 +129,7 @@ def full_gradient(net: DeepLinearNet, phi) -> np.ndarray:
     return suf[1:].transpose(0, 2, 1) @ (pre[net.L] - phi) @ pre[:-1].transpose(0, 2, 1)
 
 
-# about the entries of one chunk of ``full_hessian`` or ``hessian_frob_norm``
+# about the entries of one chunk of ``hessian_frob_norm``
 _BUDGET = 2**15
 
 
@@ -143,16 +143,9 @@ def full_hessian(net: DeepLinearNet, phi) -> np.ndarray:
                                 + [i < j] M[e,a] Q[c,b],
 
     laid out as a (d, d, d, d) array indexed [b, a, e, c], which is the
-    column-major flattening of both layers.  S[j]^T R is formed once for
-    all j, and the M once for all blocks, one batched product per
-    diagonal j - i, in an (L, L, d, d) table of L^2 d^2 entries.  Row i
-    builds its L - i + 1 blocks j >= i in chunks of c = max(1, _BUDGET //
-    d^4) blocks, each chunk with four batched matmuls and one einsum per
-    term.  A row costs O((L - i + 1) d^4) work in ceil((L - i + 1) / c)
-    chunks, and no chunk intermediate has more than max(_BUDGET, d^4)
-    entries.  The lower off-diagonal blocks are transposes of their upper
-    counterparts.  The output itself is capped by MAX_HESSIAN_SIDE;
-    ``hessian_frob_norm`` takes its norm without forming it.
+    column-major flattening of both layers.  Block (j, i) is the transpose
+    of block (i, j).  The side is capped by MAX_HESSIAN_SIDE;
+    ``hessian_frob_norm`` takes the norm without forming the matrix.
     """
     d, L = net.d, net.L
     n = L * d * d
@@ -163,33 +156,21 @@ def full_hessian(net: DeepLinearNet, phi) -> np.ndarray:
     phi = _target(net, phi)
 
     pre, suf = net.products
-    pre_t = pre.transpose(0, 2, 1)
-    suf_t = suf.transpose(0, 2, 1)
-    sr = suf_t @ (pre[L] - phi)
-    # mid[m, i-1] is M for block (i, i+m), so the diagonal m = 1 is identity
-    mid = np.empty((L, L, d, d))
-    mid[1:2] = np.eye(d)
-    for m in range(2, L):
-        np.matmul(net.layers[m - 1 : L - 1], mid[m - 1, : L - m], out=mid[m, : L - m])
+    sr = suf.transpose(0, 2, 1) @ (pre[L] - phi)
     dd = d * d
-    chunk = max(1, _BUDGET // (dd * dd))
     h = np.empty((n, n))
     blocks = h.reshape(L, dd, L, dd)  # blocks[i-1, :, j-1] is block (i, j)
     for i in range(1, L + 1):
-        for j0 in range(i, L + 1, chunk):
-            j1 = min(j0 + chunk, L + 1)
-            row = np.einsum(
-                "jac,jeb->jbaec",
-                suf_t[i] @ suf[j0:j1],
-                pre[j0 - 1 : j1 - 1] @ pre_t[i - 1],
+        mid = eye(d)
+        for j in range(i, L + 1):
+            block = np.einsum(
+                "ac,eb->baec", suf[i].T @ suf[j], pre[j - 1] @ pre[i - 1].T
             )
-            lo = j0 + (j0 == i)  # the first off-diagonal block of the chunk
-            row[lo - j0 :] += np.einsum(
-                "jea,jcb->jbaec", mid[lo - i : j1 - i, i - 1], sr[lo:j1] @ pre_t[i - 1]
-            )
-            row = row.reshape(j1 - j0, dd, dd)
-            blocks[lo - 1 : j1 - 1, :, i - 1] = row[lo - j0 :].transpose(0, 2, 1)
-            blocks[i - 1, :, j0 - 1 : j1 - 1] = row.transpose(1, 0, 2)
+            if j > i:
+                block += np.einsum("ea,cb->baec", mid, sr[j] @ pre[i - 1].T)
+                mid = net.layers[j - 1] @ mid
+                blocks[j - 1, :, i - 1] = block.reshape(dd, dd).T
+            blocks[i - 1, :, j - 1] = block.reshape(dd, dd)
     return h
 
 

@@ -99,7 +99,7 @@ def fd_gradient_check(net: DeepLinearNet, phi, h: float = 1e-5, tol: float = 1e-
     scale, with an absolute floor so exact zeros compare clean.
     """
     _check_h(h)
-    phi = np.asarray(phi, dtype=float)
+    phi = _target(net, phi)
     d, L = net.d, net.L
     n = L * d * d
     x = _flatten(net.layers)
@@ -135,13 +135,13 @@ def fd_hessian_check(net: DeepLinearNet, phi, h: float = 1e-3, tol: float = 1e-4
     """Second-order central differences against the assembled
     second-derivative matrix, compared entrywise in absolute terms."""
     _check_h(h)
+    phi = _target(net, phi)
     d, L = net.d, net.L
     n = L * d * d
     if n > MAX_HESSIAN_SIDE:
         return _skipped(
             "fd_hessian", f"second-derivative side {n} exceeds the bound {MAX_HESSIAN_SIDE}"
         )
-    phi = np.asarray(phi, dtype=float)
     x = _flatten(net.layers)
     h_fd = np.empty((n, n))
     for i in range(n):

@@ -27,7 +27,7 @@ from deeplin.lab import (
 from deeplin.network import DeepLinearNet
 from deeplin.project import IdentityBall, project_gamma_positive, project_identity_ball
 from deeplin.trainers import RUNNERS, StepSchedule, TrainerConfig
-from deeplin.verify import check_gradient_lower_bound, check_hessian_upper_bound
+from deeplin.verify import check_gradient_lower_bound, check_hessian_upper_bound, fd_gradient_check
 
 PACKAGE = Path(deeplin.__file__).parent
 
@@ -169,7 +169,7 @@ def test_the_public_api_keeps_its_contract(case):
     keeps_contract(project_gamma_positive, phi, case["gamma"])
     for a in (phi, layers):
         keeps_contract(lambda: project_identity_ball(a, IdentityBall(case["radius"], case["psd"])))
-    for check in (check_gradient_lower_bound, check_hessian_upper_bound):
+    for check in (check_gradient_lower_bound, check_hessian_upper_bound, fd_gradient_check):
         keeps_contract(lambda: check(DeepLinearNet(layers), phi))
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()), warnings.catch_warnings():

@@ -599,6 +599,25 @@ def test_cli_run_config_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert cli.main(["run", str(bad)]) == 2
+    # artifact paths: an id with a path separator or NUL, an output directory
+    # under a regular file, and an artifact name taken by a directory
+    (tmp_path / "file").write_text("")
+    (tmp_path / "taken" / "demo_trace.csv").mkdir(parents=True)
+    cases = [
+        ("../x", "out", "holds a path separator or NUL"),
+        ("a\\b", "out", "holds a path separator or NUL"),
+        ("a\0b", "out", "holds a path separator or NUL"),
+        ("demo", "o\0ut", "holds NUL"),
+        ("demo", "file/out", "cannot make directory"),
+        ("demo", "taken", "cannot write artifacts to"),
+    ]
+    for scenario_id, outdir, message in cases:
+        bad.write_text(json.dumps(demo_config(tmp_path / outdir, scenario_id=scenario_id)))
+        assert cli.main(["run", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ") and message in captured.err
+    assert not (tmp_path / "x_trace.csv").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_run_failing_check_exits_one(tmp_path, capsys):
@@ -632,15 +651,21 @@ def test_sweep_reports_config_error_and_continues(tmp_path, capsys):
     data["checks"] = []
     (tmp_path / "good.json").write_text(json.dumps(data))
     (tmp_path / "bad.json").write_text("{not json")
+    data["scenario_id"] = "a/b"
+    data["output_dir"] = str(tmp_path / "out")
+    (tmp_path / "slash.json").write_text(json.dumps(data))
     reports = sweep(tmp_path)
     assert [(r.scenario_id, r.status) for r in reports] == [
-        ("bad", "config-error"), ("good", "converged"),
+        ("bad", "config-error"), ("good", "converged"), ("slash", "config-error"),
     ]
     assert "not valid JSON" in reports[0].detail
+    assert "holds a path separator" in reports[2].detail
     assert cli.main(["sweep", str(tmp_path)]) == 2
     out = capsys.readouterr().out
     assert "bad: status=config-error" in out
-    assert "1/2 scenarios clean" in out
+    assert "slash: status=config-error" in out
+    assert "1/3 scenarios clean" in out
+    assert not (tmp_path / "out").exists()
 
 
 MISTYPED = [
@@ -904,6 +929,12 @@ def test_cli_verify_subset(tmp_path, monkeypatch, capsys):
     assert cli.main(["verify", "--criteria", "7", "--output", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "[PASS] 07-balanced-factorization" in out
+    # an output directory under a regular file
+    (tmp_path / "file").write_text("")
+    output = str(tmp_path / "file" / "out")
+    assert cli.main(["verify", "--criteria", "7", "--output", output]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: cannot make directory") and captured.out == ""
     assert cli.main(["verify", "--criteria", "bogus"]) == 2
     # numbers outside 1..10 run nothing and name the range
     for criteria in ("99", "0,11", "7,11"):

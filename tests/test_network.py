@@ -313,7 +313,7 @@ def test_hessian_memory_stays_bounded():
         tracemalloc.stop()
     assert h.shape == (L * d * d, L * d * d)
     assert peak < 16 * 2**20
-    # deep and wide nets: the chunks and the middle products stay within 2 MiB
+    # deep and wide nets: the per-block intermediates stay within 2 MiB
     for d, L in ((2, 64), (8, 16)):
         net, phi = random_net(rng, d, L)
         tracemalloc.start()
@@ -326,8 +326,8 @@ def test_hessian_memory_stays_bounded():
 
 
 def _reference_hessian(net, phi):
-    """The second-derivative matrix built one d x d block at a time, as the
-    row-chunked ``full_hessian`` must reproduce it."""
+    """The second-derivative matrix built one d x d block at a time, which
+    ``full_hessian``, or any faster form of it, must reproduce."""
     d, L = net.d, net.L
     pre, suf = prefix_suffix_products(net.layers)
     residual = pre[L] - phi
@@ -350,7 +350,7 @@ def _reference_hessian(net, phi):
     return h
 
 
-# whole-row chunks, several chunks per row, one block per chunk, one layer
+# scalar and wide layers, deep and shallow nets, one layer
 @pytest.mark.parametrize("d, L", [(1, 64), (2, 64), (8, 16), (16, 2), (3, 1)])
 def test_hessian_matches_block_reference(d, L):
     net, phi = random_net(np.random.default_rng(15 + d * L), d, L)
@@ -395,8 +395,9 @@ def _pairwise_frob_norm(net, phi):
 
     and ||H||_F^2 = sum_i ||H_ii||^2 + 2 sum_{i<j} ||H_ij||^2, since the lower
     blocks are transposes of the upper ones.  The blocks (i, i + m) are
-    taken diagonal by diagonal, M from the recurrence of ``full_hessian``,
-    in chunks of max(1, 2**15 // (L d^2)) diagonals.
+    taken diagonal by diagonal, M of diagonal m from that of diagonal
+    m - 1 by one more layer, in chunks of max(1, 2**15 // (L d^2))
+    diagonals.
     """
     d, L = net.d, net.L
     phi = np.asarray(phi, dtype=float)

@@ -79,12 +79,23 @@ def test_fd_hessian_catches_corruption(monkeypatch):
     assert report.worst["entry"] in ([1, 2], [2, 1])
 
 
-def test_fd_step_validation():
+def test_fd_step_validation(monkeypatch):
     net, phi = small_net()
     with pytest.raises(ValueError):
         fd_gradient_check(net, phi, h=1.0)
     with pytest.raises(ValueError):
         fd_hessian_check(net, phi, h=1e-9)
+    # a bad target is rejected before the first loss evaluation
+    def unreachable(*args):
+        raise AssertionError("the finite differences ran")
+
+    monkeypatch.setattr(verify, "_loss_flat", unreachable)
+    for check in (fd_gradient_check, fd_hessian_check):
+        for target in (np.eye(3), np.eye(1)):
+            with pytest.raises(ValueError, match="target dimension does not match"):
+                check(net, target)
+        with pytest.raises(ValueError, match="target has non-finite entries"):
+            check(net, np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
 def test_gradient_lower_bound_tight_at_identity():
